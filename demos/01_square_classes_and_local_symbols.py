@@ -2,15 +2,14 @@
 """Square classes and local computations: valuations, square classes of
 completions, Hilbert symbols, and the product formula.
 
-Every number here is exact; the dyadic answers come from bounded residue
-searches in explicit models of the 2-adic completions.
+Every number here is exact; every local answer is a closed form on the
+valuation and unit part of its rational arguments.
 """
 
 from wittcert import (
     REAL,
     LocalField,
     Place,
-    dyadic_square_test,
     hilbert_symbol,
     local_square_class,
     padic_valuation,
@@ -31,13 +30,14 @@ Q2, Q5 = rationals_at(Place(2)), rationals_at(Place(5))
 print(f"  class of 2 in Q_5: {local_square_class(2, Q5)}   (2 is a nonresidue mod 5)")
 print(f"  class of 4 in Q_5: {local_square_class(4, Q5)}")
 print(f"  class of 17 in Q_2: {local_square_class(17, Q2)}  (units = 1 mod 8 are 2-adic squares)")
-print(f"  17 a square in Q_2 by residue search: {dyadic_square_test(17, Q2)}")
-print(f"  5 a square in Q_2 by residue search:  {dyadic_square_test(5, Q2)}")
+print(f"  class of 5 in Q_2: {local_square_class(5, Q2)}   (5 is not a 2-adic square)")
+E_sqrt5 = LocalField(Place(2), gens=(5,), e=1, f=2)
+print(f"  class of 5 in Q_2(sqrt 5): {local_square_class(5, E_sqrt5)}   (Kummer: a square once adjoined)")
 
 print("\n=== Hilbert symbols ===")
 R = LocalField(REAL)
 print(f"  (2, 5)_5  = {hilbert_symbol(2, 5, Q5)}   (tame formula)")
-print(f"  (-1,-1)_2 = {hilbert_symbol(-1, -1, Q2)}   (no solution of x^2+y^2+z^2 = 0 mod 8)")
+print(f"  (-1,-1)_2 = {hilbert_symbol(-1, -1, Q2)}   (Serre: (-1)^(eps(-1) eps(-1)))")
 print(f"  (-1,-1)_R = {hilbert_symbol(-1, -1, R)}")
 
 print("\n=== Product formula ===")
@@ -52,9 +52,9 @@ for a, b in [(2, 5), (-1, -1), (3, 7), (-6, 15)]:
     print(f"  (a,b) = ({a},{b}):  {terms}  ->  product = {prod:+d}")
 
 print("\n=== Symbols over extension completions ===")
-# Any even-degree extension of a local field splits every rational quaternion
-# algebra; the bounded residue searches reproduce this from first principles.
-E_unram = LocalField(Place(2), gens=(5,), e=1, f=2)
+# Norm compatibility: (a, b)_E = (a, b)_{Q_2}^[E:Q_2] for rational a, b, so
+# any even-degree extension splits every rational quaternion algebra.
+E_unram = E_sqrt5
 E_quartic = LocalField(Place(2), gens=(3, 5), e=2, f=2)
 print(f"  (-1,-1) over Q_2(sqrt 5):          {hilbert_symbol(-1, -1, E_unram)}")
 print(f"  (-1,-1) over Q_2(sqrt 3, sqrt 5):  {hilbert_symbol(-1, -1, E_quartic)}")

@@ -1,8 +1,8 @@
 """wittcert: an exact engine for quadratic-form theory over Q and its
 multiquadratic extensions.
 
-Square classes, Hilbert symbols (including bounded Hensel searches in dyadic
-completions of degree up to 4), Hasse-Minkowski isotropy, Witt decomposition,
+Square classes, closed-form local Hilbert symbols over every completion of
+degree up to 4, Hasse-Minkowski isotropy, Witt decomposition,
 Pfister forms, quaternionic symplectic involution algebras, and searchable,
 independently verifiable hyperbolicity/norm certificates for their
 similarity-factor groups.
@@ -11,12 +11,9 @@ similarity-factor groups.
 from .arith import DomainError, Rat, padic_valuation, prime_support, squarefree_rep
 from .localfields import (
     REAL,
-    EngineContext,
     LocalField,
     LocalFormClass,
     Place,
-    default_context,
-    dyadic_square_test,
     hilbert_symbol,
     local_aniso_dim,
     local_square_class,

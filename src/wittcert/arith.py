@@ -15,8 +15,8 @@ Rat = int | Fraction
 
 _TRIAL_BOUND = 100_000
 
-# Deterministic Miller-Rabin witnesses, exact for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses, exact for n < 3.3 * 10^24 (OEIS A014233).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class DomainError(ValueError):
@@ -26,7 +26,7 @@ class DomainError(ValueError):
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -85,9 +85,6 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-_factor_cache: dict[int, dict[int, int]] = {}
-
-
 def factorize(n: int, trial_bound: int = _TRIAL_BOUND) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; n must be nonzero.
 
@@ -97,8 +94,6 @@ def factorize(n: int, trial_bound: int = _TRIAL_BOUND) -> dict[int, int]:
     if n == 0:
         raise DomainError("cannot factor 0")
     n = abs(n)
-    if n in _factor_cache:
-        return dict(_factor_cache[n])
     out: dict[int, int] = {}
     m = n
     for p in (2, 3, 5):
@@ -126,8 +121,6 @@ def factorize(n: int, trial_bound: int = _TRIAL_BOUND) -> dict[int, int]:
         d = _pollard_brent(m)
         stack.append(d)
         stack.append(m // d)
-    if n <= 10**9:
-        _factor_cache[n] = dict(out)
     return out
 
 
@@ -148,23 +141,28 @@ def squarefree_rep(r: Rat) -> int:
     return s
 
 
+def _valuation_unit(p: int, r: Rat) -> tuple[int, int]:
+    """(v, u) with r = p^v * u up to the square of a p-adic unit: v is the
+    valuation of r at the prime p (not re-checked) and u a signed integer
+    prime to p (numerator times denominator, both stripped of p)."""
+    num, den = r.numerator, r.denominator
+    if num == 0:
+        raise DomainError("valuation of 0")
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num * den
+
+
 def padic_valuation(p: int, r: Rat) -> int:
     """Exponent of the prime p in r (negative for denominators)."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    r = Fraction(r)
-    if r == 0:
-        raise DomainError("valuation of 0")
-    v = 0
-    n = abs(r.numerator)
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = r.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _valuation_unit(p, Fraction(r))[0]
 
 
 def prime_support(items) -> set[int]:

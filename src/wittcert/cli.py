@@ -241,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit per-place local evidence for hyperbolicity verdicts")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for multiplier sampling when none are supplied")
-    parser.add_argument("--output-format", choices=("json",), default="json")
     return parser
 
 

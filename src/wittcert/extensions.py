@@ -18,19 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, Rat, prime_support, squarefree_rep
+from .arith import DomainError, Rat, squarefree_rep
 from .localfields import (
     REAL,
-    EngineContext,
     LocalField,
     Place,
-    _odd_class_pair,
     _odd_class_rep,
+    _odd_subgroup,
+    dyadic_subgroup,
     form_class_at,
     local_aniso_dim,
     rationals_at,
 )
-from .dyadic import dyadic_subgroup
 from . import forms
 from .forms import QForm, qform
 
@@ -99,7 +98,7 @@ TRIVIAL_TOWER = ExtensionTower(())
 # Place fibers.
 
 
-def places_over(M: ExtensionTower, v: Place, ctx: EngineContext | None = None) -> PlaceFiber:
+def places_over(M: ExtensionTower, v: Place) -> PlaceFiber:
     """Splitting of v in M, determined by the local square classes of the
     generators: locally-square generators split the fiber, the others cut out
     a quadratic or biquadratic completion with the matching e and f."""
@@ -120,10 +119,7 @@ def places_over(M: ExtensionTower, v: Place, ctx: EngineContext | None = None) -
         E = LocalField(v, gens, e, f)
         return PlaceFiber(v, ((E, M.degree // (e * f)),))
     # Odd prime: classes as (valuation parity, nonresidue bit).
-    pairs = {(0, 0)}
-    for g in M.generators:
-        gp = _odd_class_pair(g, p)
-        pairs |= {((gp[0] + h[0]) % 2, (gp[1] + h[1]) % 2) for h in pairs}
+    pairs = _odd_subgroup(M.generators, p)
     if len(pairs) == 1:
         return PlaceFiber(v, ((base, M.degree),))
     e = 2 if any(h[0] for h in pairs) else 1
@@ -134,16 +130,11 @@ def places_over(M: ExtensionTower, v: Place, ctx: EngineContext | None = None) -
     return PlaceFiber(v, ((E, M.degree // (e * f)),))
 
 
-def _relevant_places(phi: QForm, M: ExtensionTower) -> list[Place]:
-    primes = prime_support(list(phi.entries) + list(M.generators))
-    return [REAL] + [Place(p) for p in sorted(primes)]
-
-
 # ----------------------------------------------------------------------
 # Hyperbolicity and Witt index over M.
 
 
-def aniso_dim_over(phi: QForm, M: ExtensionTower, ctx: EngineContext | None = None) -> int:
+def aniso_dim_over(phi: QForm, M: ExtensionTower) -> int:
     """Dimension of the anisotropic kernel of phi over M.
 
     Computed as the maximum of the local anisotropic dimensions over all
@@ -158,11 +149,11 @@ def aniso_dim_over(phi: QForm, M: ExtensionTower, ctx: EngineContext | None = No
     lower = n % 2
     if n % 2 == 0 and disc_in_tower(forms.disc(phi), M) is False:
         lower = 2
-    for v in _relevant_places(phi, M):
-        fiber = places_over(M, v, ctx)
+    for v in forms.relevant_places(phi, M.generators):
+        fiber = places_over(M, v)
         for E, _mult in fiber.completions:
-            cls = form_class_at(phi.entries, E, ctx)
-            lower = max(lower, local_aniso_dim(cls, E, ctx))
+            cls = form_class_at(phi.entries, E)
+            lower = max(lower, local_aniso_dim(cls, E))
     return lower
 
 
@@ -172,16 +163,16 @@ def disc_in_tower(d: int, M: ExtensionTower) -> bool:
     return squarefree_rep(d) in M.subgroup()
 
 
-def witt_index_over(phi: QForm, M: ExtensionTower, ctx: EngineContext | None = None) -> int:
+def witt_index_over(phi: QForm, M: ExtensionTower) -> int:
     """(dim - aniso_dim over M) / 2; exact over number fields by the
     local-global principle for the Witt index."""
-    return (phi.dim - aniso_dim_over(phi, M, ctx)) // 2
+    return (phi.dim - aniso_dim_over(phi, M)) // 2
 
 
-def is_hyperbolic_over(phi: QForm, M: ExtensionTower, ctx: EngineContext | None = None) -> bool:
+def is_hyperbolic_over(phi: QForm, M: ExtensionTower) -> bool:
     if phi.dim % 2:
         return False
-    return aniso_dim_over(phi, M, ctx) == 0
+    return aniso_dim_over(phi, M) == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,15 +185,14 @@ class PlaceEvidence:
     aniso_dim: int
 
 
-def hyperbolicity_evidence(phi: QForm, M: ExtensionTower,
-                           ctx: EngineContext | None = None) -> list[PlaceEvidence]:
+def hyperbolicity_evidence(phi: QForm, M: ExtensionTower) -> list[PlaceEvidence]:
     """Per-completion anisotropic dimensions at every relevant place."""
     out = []
-    for v in _relevant_places(phi, M):
-        fiber = places_over(M, v, ctx)
+    for v in forms.relevant_places(phi, M.generators):
+        fiber = places_over(M, v)
         for E, mult in fiber.completions:
-            cls = form_class_at(phi.entries, E, ctx)
-            out.append(PlaceEvidence(v, E, mult, local_aniso_dim(cls, E, ctx)))
+            cls = form_class_at(phi.entries, E)
+            out.append(PlaceEvidence(v, E, mult, local_aniso_dim(cls, E)))
     return out
 
 
@@ -210,17 +200,17 @@ def hyperbolicity_evidence(phi: QForm, M: ExtensionTower,
 # Norm groups.
 
 
-def norm_member(c: Rat, d: int, ctx: EngineContext | None = None) -> bool:
+def norm_member(c: Rat, d: int) -> bool:
     """c in N*_{Q(sqrt d)/Q}, via representability by <1, -d>."""
     if Fraction(c) == 0:
         raise DomainError("norm membership of 0")
     d = squarefree_rep(d)
     if d == 1:
         raise DomainError("trivial extension: norm group is all of Q*")
-    return forms.represents(qform([1, -d]), c, ctx)
+    return forms.represents(qform([1, -d]), c)
 
 
-def norm_member_tower(c: Rat, M: ExtensionTower, ctx: EngineContext | None = None) -> bool:
+def norm_member_tower(c: Rat, M: ExtensionTower) -> bool:
     """c in Q*^2 * N*_{M/Q}.  Trivial tower: everything.  Quadratic tower:
     plain norm membership.  Biquadratic tower: membership in both quadratic
     subextension norm groups (the intersection law
@@ -230,5 +220,5 @@ def norm_member_tower(c: Rat, M: ExtensionTower, ctx: EngineContext | None = Non
     if M.degree == 1:
         return True
     if M.degree == 2:
-        return norm_member(c, M.generators[0], ctx)
-    return norm_member(c, M.generators[0], ctx) and norm_member(c, M.generators[1], ctx)
+        return norm_member(c, M.generators[0])
+    return norm_member(c, M.generators[0]) and norm_member(c, M.generators[1])

@@ -23,7 +23,6 @@ from fractions import Fraction
 from .arith import DomainError, Rat, prime_support, squarefree_rep
 from .localfields import (
     REAL,
-    EngineContext,
     Place,
     form_class_at,
     hilbert_symbol,
@@ -99,9 +98,9 @@ def signature(phi: QForm) -> int:
     return sum(1 if a > 0 else -1 for a in phi.entries)
 
 
-def hasse_invariant(phi: QForm, v: Place, ctx: EngineContext | None = None) -> int:
+def hasse_invariant(phi: QForm, v: Place) -> int:
     """Product of Hilbert symbols (a_i, a_j) over i < j at the completion at v."""
-    return form_class_at(phi.entries, rationals_at(v), ctx).hasse
+    return form_class_at(phi.entries, rationals_at(v)).hasse
 
 
 def relevant_places(phi: QForm, extra=()) -> list[Place]:
@@ -115,30 +114,30 @@ def relevant_places(phi: QForm, extra=()) -> list[Place]:
 # Isotropy and Witt decomposition.
 
 
-def _local_aniso_dims(phi: QForm, ctx: EngineContext | None = None) -> dict[Place, int]:
+def _local_aniso_dims(phi: QForm) -> dict[Place, int]:
     out = {}
     for v in relevant_places(phi):
         E = rationals_at(v)
-        out[v] = local_aniso_dim(form_class_at(phi.entries, E, ctx), E, ctx)
+        out[v] = local_aniso_dim(form_class_at(phi.entries, E), E)
     return out
 
 
-def is_isotropic(phi: QForm, ctx: EngineContext | None = None) -> bool:
+def is_isotropic(phi: QForm) -> bool:
     """Hasse-Minkowski: isotropic over Q iff isotropic at every completion."""
     if phi.dim <= 1:
         return False
-    return all(d < phi.dim for d in _local_aniso_dims(phi, ctx).values())
+    return all(d < phi.dim for d in _local_aniso_dims(phi).values())
 
 
-def isotropy_obstruction(phi: QForm, ctx: EngineContext | None = None) -> Place | None:
+def isotropy_obstruction(phi: QForm) -> Place | None:
     """A place where the form is locally anisotropic, if any."""
-    for v, d in _local_aniso_dims(phi, ctx).items():
+    for v, d in _local_aniso_dims(phi).items():
         if d == phi.dim:
             return v
     return None
 
 
-def witt_decompose(phi: QForm, ctx: EngineContext | None = None) -> tuple[int, int, WittClassQ]:
+def witt_decompose(phi: QForm) -> tuple[int, int, WittClassQ]:
     """(witt_index, aniso_dim, aniso_class): phi = (anisotropic kernel) + witt_index x H.
 
     The anisotropic dimension is the largest local anisotropic dimension over
@@ -153,10 +152,10 @@ def witt_decompose(phi: QForm, ctx: EngineContext | None = None) -> tuple[int, i
     local = {}
     for v in places:
         E = rationals_at(v)
-        local[v] = (form_class_at(phi.entries, E, ctx), E)
+        local[v] = (form_class_at(phi.entries, E), E)
     aniso = abs(sig)
     for v, (cls, E) in local.items():
-        aniso = max(aniso, local_aniso_dim(cls, E, ctx))
+        aniso = max(aniso, local_aniso_dim(cls, E))
     witt_index = (n - aniso) // 2
     # Hasse data of the anisotropic representative, by the descent law
     # s_small = s_big * ((-1)^(m(m-1)/2) d, -1) at each step down.
@@ -169,14 +168,14 @@ def witt_decompose(phi: QForm, ctx: EngineContext | None = None) -> tuple[int, i
         while m > aniso:
             m -= 2
             prod_rep = d if (m * (m - 1) // 2) % 2 == 0 else -d
-            s *= hilbert_symbol(prod_rep, -1, E, ctx)
+            s *= hilbert_symbol(prod_rep, -1, E)
         if s == -1:
             minus.add(v)
     negs = (aniso - sig) // 2
     if (negs * (negs - 1) // 2) % 2:
         minus.add(REAL)
     cls = WittClassQ(aniso % 2, d if aniso else 1, frozenset(minus), sig)
-    if ARASON_PFISTER_CHECK and in_In(phi, 4, ctx) and 0 < aniso < 16:
+    if ARASON_PFISTER_CHECK and in_In(phi, 4) and 0 < aniso < 16:
         global _ap_violations
         _ap_violations += 1
         raise InvariantViolation(
@@ -185,11 +184,11 @@ def witt_decompose(phi: QForm, ctx: EngineContext | None = None) -> tuple[int, i
     return witt_index, aniso, cls
 
 
-def witt_index(phi: QForm, ctx: EngineContext | None = None) -> int:
-    return witt_decompose(phi, ctx)[0]
+def witt_index(phi: QForm) -> int:
+    return witt_decompose(phi)[0]
 
 
-def is_hyperbolic(phi: QForm, ctx: EngineContext | None = None) -> bool:
+def is_hyperbolic(phi: QForm) -> bool:
     """True iff the dimension is even and the anisotropic kernel is trivial."""
     if phi.dim % 2:
         return False
@@ -197,14 +196,14 @@ def is_hyperbolic(phi: QForm, ctx: EngineContext | None = None) -> bool:
         return True
     if disc(phi) != 1 or signature(phi) != 0:
         return False
-    return witt_decompose(phi, ctx)[1] == 0
+    return witt_decompose(phi)[1] == 0
 
 
 # ----------------------------------------------------------------------
 # Isometry and Witt equivalence.
 
 
-def is_isometric(phi: QForm, psi: QForm, ctx: EngineContext | None = None) -> bool:
+def is_isometric(phi: QForm, psi: QForm) -> bool:
     """Complete invariant test: dimension, discriminant, signature, and Hasse
     invariants at every place of the joint prime support (plus 2, real)."""
     if phi.dim != psi.dim:
@@ -214,12 +213,12 @@ def is_isometric(phi: QForm, psi: QForm, ctx: EngineContext | None = None) -> bo
     primes = prime_support(phi.entries) | prime_support(psi.entries)
     for p in sorted(primes):
         v = Place(p)
-        if hasse_invariant(phi, v, ctx) != hasse_invariant(psi, v, ctx):
+        if hasse_invariant(phi, v) != hasse_invariant(psi, v):
             return False
     return True
 
 
-def witt_equivalent(phi: QForm, psi: QForm, ctx: EngineContext | None = None) -> bool:
+def witt_equivalent(phi: QForm, psi: QForm) -> bool:
     """Same Witt class: pad the smaller form with hyperbolic planes, then
     compare the complete invariants."""
     a, b = phi, psi
@@ -229,7 +228,7 @@ def witt_equivalent(phi: QForm, psi: QForm, ctx: EngineContext | None = None) ->
         a = orth_sum(a, HYPERBOLIC_PLANE)
     while b.dim < a.dim:
         b = orth_sum(b, HYPERBOLIC_PLANE)
-    return is_isometric(a, b, ctx)
+    return is_isometric(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -278,16 +277,16 @@ def pfister_slots(phi: QForm) -> tuple[int, ...] | None:
 # Representation, similarity factors, powers of the fundamental ideal.
 
 
-def represents(phi: QForm, c: Rat, ctx: EngineContext | None = None) -> bool:
+def represents(phi: QForm, c: Rat) -> bool:
     """True iff phi represents c over Q (c nonzero)."""
     if Fraction(c) == 0:
         raise DomainError("represented value must be nonzero")
     if phi.dim == 0:
         return False
-    return is_isotropic(orth_sum(phi, qform([-Fraction(c)])), ctx)
+    return is_isotropic(orth_sum(phi, qform([-Fraction(c)])))
 
 
-def in_G(phi: QForm, c: Rat, ctx: EngineContext | None = None) -> bool:
+def in_G(phi: QForm, c: Rat) -> bool:
     """Similarity-factor test: c in G(phi) iff <<c>> x phi is hyperbolic,
     equivalently c*phi is isometric to phi.  Both routes are computed and must
     agree; disagreement means an engine bug."""
@@ -296,8 +295,8 @@ def in_G(phi: QForm, c: Rat, ctx: EngineContext | None = None) -> bool:
     c = squarefree_rep(c)
     if phi.dim == 0:
         return True
-    via_pfister = is_hyperbolic(tensor(pfister([c]), phi), ctx)
-    via_isometry = is_isometric(scale(c, phi), phi, ctx)
+    via_pfister = is_hyperbolic(tensor(pfister([c]), phi))
+    via_isometry = is_isometric(scale(c, phi), phi)
     if via_pfister != via_isometry:
         raise InvariantViolation(
             f"in_G decision paths disagree for {phi}, c={c}: "
@@ -306,7 +305,7 @@ def in_G(phi: QForm, c: Rat, ctx: EngineContext | None = None) -> bool:
     return via_pfister
 
 
-def in_In(phi: QForm, n: int, ctx: EngineContext | None = None) -> bool:
+def in_In(phi: QForm, n: int) -> bool:
     """Membership of the Witt class in the n-th power of the fundamental
     ideal, 1 <= n <= 4."""
     if n not in (1, 2, 3, 4):
@@ -326,8 +325,8 @@ def in_In(phi: QForm, n: int, ctx: EngineContext | None = None) -> bool:
     for p in sorted(prime_support(phi.entries)):
         v = Place(p)
         E = rationals_at(v)
-        split_hasse = hilbert_symbol(-1, -1, E, ctx) ** (k * (k - 1) // 2)
-        if hasse_invariant(phi, v, ctx) != split_hasse:
+        split_hasse = hilbert_symbol(-1, -1, E) ** (k * (k - 1) // 2)
+        if hasse_invariant(phi, v) != split_hasse:
             return False
     return True
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .arith import DomainError, squarefree_rep
 from .forms import QForm, disc, is_hyperbolic, is_isotropic, pfister, tensor
-from .localfields import EngineContext
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,32 +53,31 @@ def norm_form(q: QuaternionAlg) -> QForm:
     return pfister([q.a, q.b])
 
 
-def is_split(q: QuaternionAlg, ctx: EngineContext | None = None) -> bool:
+def is_split(q: QuaternionAlg) -> bool:
     """Split iff the norm form is isotropic (iff every local symbol is +1)."""
-    return is_isotropic(norm_form(q), ctx)
+    return is_isotropic(norm_form(q))
 
 
-def degree_index(alg: InvolutionAlgebra, ctx: EngineContext | None = None) -> tuple[int, int]:
+def degree_index(alg: InvolutionAlgebra) -> tuple[int, int]:
     """(degree, Schur index); this constructor only produces index <= 2."""
-    return alg.degree, 1 if is_split(alg.q, ctx) else 2
+    return alg.degree, 1 if is_split(alg.q) else 2
 
 
-def involution_discriminant(alg: InvolutionAlgebra,
-                            ctx: EngineContext | None = None) -> tuple[QForm, bool]:
+def involution_discriminant(alg: InvolutionAlgebra) -> tuple[QForm, bool]:
     """The discriminant of the symplectic involution as the 3-fold Pfister
     representative <<a, b, disc phi>>, plus its triviality.
 
     Defined only when 2*ind(A) divides deg(A); for this constructor that
     fails exactly when the quaternion is division and dim(phi) is odd.
     """
-    degree, index = degree_index(alg, ctx)
+    degree, index = degree_index(alg)
     if degree % (2 * index):
         raise DomainError(
             f"discriminant undefined: 2*ind = {2 * index} does not divide deg = {degree}"
         )
     c = disc(alg.phi)
     delta = pfister([alg.q.a, alg.q.b, c])
-    return delta, is_hyperbolic(delta, ctx)
+    return delta, is_hyperbolic(delta)
 
 
 def reduce_to_form(alg: InvolutionAlgebra) -> QForm:

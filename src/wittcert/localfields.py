@@ -2,23 +2,20 @@
 
 Completions are represented by invariants (base place, adjoined square
 classes, ramification index e, residue degree f), never by element-level
-p-adic arithmetic; elements are global rationals interpreted locally.  The
-one exception is the bounded dyadic residue search of `wittcert.dyadic`.
+p-adic arithmetic; elements are global rationals interpreted locally.
 
-Hilbert symbols: odd residue characteristic uses the tame formula with
-residue field size q = p^f (uniformiser rewriting for ramified quadratic
-extensions); residue characteristic 2 uses the exhaustive representability
-search at precision pi^(2e+3).
+Square classes of rationals in a completion are base classes reduced modulo
+the Kummer subgroup of the adjoined square roots.  Hilbert symbols of
+rationals are closed forms: +1 over every even-degree completion (norm
+compatibility), the sign rule over R, the tame formula over Q_p for p odd
+and Serre's formula over Q_2.  No local answer is memoised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import DomainError, Rat, is_prime, legendre, padic_valuation, squarefree_rep
-from . import dyadic
-from .dyadic import DYADIC_CLASSES, DyadicModel, build_model, dyadic_class, dyadic_subgroup
+from .arith import DomainError, Rat, _valuation_unit, is_prime, legendre, squarefree_rep
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,31 +97,28 @@ class LocalFormClass:
     signature: int | None = None  # real completions only
 
 
-class EngineContext:
-    """Holds the memoised local data (dyadic models, symbol and square-class
-    tables).  Verification code builds a fresh context so that no verdict is
-    ever read back from a cache the search populated."""
-
-    def __init__(self):
-        self._models: dict[frozenset[int], DyadicModel] = {}
-        self._symbols: dict = {}
-        self._squares: dict = {}
-
-    def model(self, subgroup: frozenset[int]) -> DyadicModel:
-        if subgroup not in self._models:
-            self._models[subgroup] = build_model(subgroup)
-        return self._models[subgroup]
-
-
-_DEFAULT_CTX = EngineContext()
-
-
-def default_context() -> EngineContext:
-    return _DEFAULT_CTX
-
-
 # ----------------------------------------------------------------------
 # Square classes of completions.
+
+# Canonical representatives of Q_2* / Q_2*^2, ordered.  The unit part of a
+# class is determined mod 8, the valuation mod 2.
+DYADIC_CLASSES = (1, 3, 5, 7, 2, 6, 10, 14)
+_DYADIC_ORDER = {c: i for i, c in enumerate(DYADIC_CLASSES)}
+
+
+def dyadic_class(r: Rat) -> int:
+    """Canonical representative of the square class of r in Q_2."""
+    v, u = _valuation_unit(2, r)
+    return u % 8 * 2 if v % 2 else u % 8
+
+
+def dyadic_subgroup(gens) -> frozenset[int]:
+    """Subgroup of Q_2*/Q_2*^2 generated by the given elements."""
+    group = {1}
+    for g in gens:
+        c = dyadic_class(g)
+        group |= {dyadic_class(c * h) for h in group}
+    return frozenset(group)
 
 
 def _odd_nonresidue(p: int) -> int:
@@ -136,15 +130,18 @@ def _odd_nonresidue(p: int) -> int:
 
 def _odd_class_pair(a: Rat, p: int) -> tuple[int, int]:
     """(valuation parity, nonresidue bit) of a in Q_p*, p odd."""
-    v = padic_valuation(p, a)
-    a = Fraction(a)
-    num, den = a.numerator, a.denominator
-    while num % p == 0:
-        num //= p
-    while den % p == 0:
-        den //= p
-    u = num % p * pow(den % p, -1, p) % p
+    v, u = _valuation_unit(p, a)
     return (v % 2, 0 if legendre(u, p) == 1 else 1)
+
+
+def _odd_subgroup(gens, p: int) -> set[tuple[int, int]]:
+    """Subgroup of Q_p*/Q_p*^2 (p odd) generated by the given elements, as
+    (valuation parity, nonresidue bit) pairs."""
+    group = {(0, 0)}
+    for g in gens:
+        gp = _odd_class_pair(g, p)
+        group |= {((gp[0] + h[0]) % 2, (gp[1] + h[1]) % 2) for h in group}
+    return group
 
 
 def _odd_class_rep(pair: tuple[int, int], p: int) -> int:
@@ -153,35 +150,29 @@ def _odd_class_rep(pair: tuple[int, int], p: int) -> int:
 
 
 _ODD_PAIR_ORDER = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
-_DYADIC_ORDER = {c: i for i, c in enumerate(DYADIC_CLASSES)}
 
 
-def local_square_class(a: Rat, E: LocalField, ctx: EngineContext | None = None) -> int:
+def local_square_class(a: Rat, E: LocalField) -> int:
     """Canonical representative of the square class of a in E (1 = trivial).
 
     Inputs are global rationals; for extensions, the class is the base class
     reduced modulo the subgroup generated by the adjoined square roots
-    (an element of Q_p is a square in a multiquadratic extension iff its
-    class lies in that subgroup).
+    (Kummer: an element of Q_p is a square in a multiquadratic extension iff
+    its class lies in that subgroup).
     """
-    if Fraction(a) == 0:
+    if a == 0:
         raise DomainError("square class of 0")
     if E.is_complex:
         return 1
     if E.is_real:
-        return 1 if Fraction(a) > 0 else -1
+        return 1 if a > 0 else -1
     p = E.base.p
     if p == 2:
-        sub = dyadic_subgroup(E.gens)
         c = dyadic_class(a)
-        coset = [dyadic.dyadic_mult(c, h) for h in sub]
+        coset = [dyadic_class(c * h) for h in dyadic_subgroup(E.gens)]
         return min(coset, key=_DYADIC_ORDER.__getitem__)
     pair = _odd_class_pair(a, p)
-    sub = {(0, 0)}
-    for g in E.gens:
-        gp = _odd_class_pair(g, p)
-        sub |= {((gp[0] + h[0]) % 2, (gp[1] + h[1]) % 2) for h in sub}
-    coset = [((pair[0] + h[0]) % 2, (pair[1] + h[1]) % 2) for h in sub]
+    coset = [((pair[0] + h[0]) % 2, (pair[1] + h[1]) % 2) for h in _odd_subgroup(E.gens, p)]
     best = min(coset, key=_ODD_PAIR_ORDER.__getitem__)
     return _odd_class_rep(best, p)
 
@@ -190,79 +181,45 @@ def local_square_class(a: Rat, E: LocalField, ctx: EngineContext | None = None) 
 # Hilbert symbols.
 
 
-def _tame_symbol(a: Rat, b: Rat, E: LocalField) -> int:
-    """Tame formula over a completion of odd residue characteristic:
-    (a,b) = chi((-1)^(v(a)v(b)) * ua^v(b) * ub^v(a)) with chi the quadratic
-    residue character of the residue field F_q, q = p^f, and v = v_E.
-
-    For rational arguments only the base completion can produce -1: when f is
-    even chi kills rational units, and when e is even both valuations are
-    even, so every exponent in the formula is even.
-    """
-    p = E.base.p
-    if E.f % 2 == 0:
-        return 1
-    m = padic_valuation(p, a)
-    n = padic_valuation(p, b)
-    alpha, beta = E.e * m, E.e * n
-    if alpha % 2 == 0 and beta % 2 == 0:
-        return 1
-    assert E.e == 1 and E.f == 1  # forced at this point for rational inputs
-
-    def unit_part(x: Rat, v: int) -> int:
-        x = Fraction(x) / Fraction(p) ** v
-        return x.numerator % p * pow(x.denominator % p, -1, p) % p
-
-    ua, ub = unit_part(a, m), unit_part(b, n)
-    val = pow(-1 % p, alpha * beta, p) * pow(ua, beta, p) * pow(ub, alpha, p) % p
-    return legendre(val, p)
-
-
-def hilbert_symbol(a: Rat, b: Rat, E: LocalField, ctx: EngineContext | None = None) -> int:
+def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
     """+1 iff <1, -a, -b> is isotropic over E (iff the quaternion algebra
-    (a, b) splits over E)."""
-    if Fraction(a) == 0 or Fraction(b) == 0:
+    (a, b) splits over E).
+
+    For rational a, b and a completion E of degree n over Q_v, norm
+    compatibility gives (a, b)_E = (a, N b)_{Q_v} = (a, b)_{Q_v}^n, so every
+    even-degree completion gives +1.  Over Q_v: the sign rule at the real
+    place, the tame formula for p odd and Serre's formula for p = 2, with
+    a = p^alpha u and b = p^beta w for units u, w.
+    """
+    if a == 0 or b == 0:
         raise DomainError("hilbert symbol of 0")
-    if E.is_complex:
+    if E.degree % 2 == 0:
         return 1
     if E.is_real:
-        return -1 if (Fraction(a) < 0 and Fraction(b) < 0) else 1
+        return -1 if a < 0 and b < 0 else 1
     p = E.base.p
-    if p != 2:
-        return _tame_symbol(a, b, E)
-    ctx = ctx or _DEFAULT_CTX
-    sub = dyadic_subgroup(E.gens)
-    # dyadic_class absorbs the sign into the unit part mod 8.
-    ca, cb = dyadic_class(a), dyadic_class(b)
-    key = (sub, min(ca, cb), max(ca, cb))
-    if key in ctx._symbols:
-        return ctx._symbols[key]
-    model = ctx.model(sub)
-    res = 1 if model.ternary_isotropic(1, -ca, -cb) else -1
-    ctx._symbols[key] = res
-    return res
-
-
-def dyadic_square_test(a: Rat, E: LocalField, ctx: EngineContext | None = None) -> bool:
-    """Square test in a dyadic completion by exhaustive residue search modulo
-    pi^(2e+1) (the Hensel-sufficient precision)."""
-    if Fraction(a) == 0:
-        raise DomainError("square test of 0")
-    if E.base.is_real or E.base.p != 2:
-        raise DomainError("dyadic square test needs residue characteristic 2")
-    ctx = ctx or _DEFAULT_CTX
-    c = squarefree_rep(a)
-    key = (dyadic_subgroup(E.gens), c)
-    if key not in ctx._squares:
-        ctx._squares[key] = ctx.model(key[0]).is_square(c)
-    return ctx._squares[key]
+    alpha, u = _valuation_unit(p, a)
+    beta, w = _valuation_unit(p, b)
+    alpha, beta = alpha % 2, beta % 2
+    if p == 2:
+        # (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)) with
+        # eps(x) = (x - 1)/2 and omega(x) = (x^2 - 1)/8 mod 2.
+        u, w = u % 8, w % 8
+        eps_u, eps_w = (u - 1) // 2, (w - 1) // 2
+        omega_u, omega_w = (u * u - 1) // 8, (w * w - 1) // 8
+        t = eps_u * eps_w + alpha * omega_w + beta * omega_u
+        return -1 if t % 2 else 1
+    # (-1)^(alpha beta (p-1)/2) (u|p)^beta (w|p)^alpha.
+    if not (alpha or beta):
+        return 1
+    return legendre((-1) ** (alpha * beta) * u ** beta * w ** alpha, p)
 
 
 # ----------------------------------------------------------------------
 # Anisotropic dimension from local invariants.
 
 
-def local_aniso_dim(c: LocalFormClass, E: LocalField, ctx: EngineContext | None = None) -> int:
+def local_aniso_dim(c: LocalFormClass, E: LocalField) -> int:
     """Dimension of the anisotropic kernel of any form with these invariants
     over E, by the standard p-adic classification (descent on the invariant
     tuple; dim >= 5 always isotropic, dim 4 anisotropic iff trivial
@@ -275,7 +232,6 @@ def local_aniso_dim(c: LocalFormClass, E: LocalField, ctx: EngineContext | None 
         if c.signature is None or abs(c.signature) > c.dim or (c.signature - c.dim) % 2:
             raise DomainError(f"invalid signature data {c}")
         return abs(c.signature)
-    ctx = ctx or _DEFAULT_CTX
     n, d, s = c.dim, c.disc, c.hasse
     trivial = d == 1
     while True:
@@ -285,19 +241,19 @@ def local_aniso_dim(c: LocalFormClass, E: LocalField, ctx: EngineContext | None 
             return 1
         if n == 2:
             return 0 if trivial else 2
-        if n == 3 and s == -hilbert_symbol(d, -1, E, ctx):
+        if n == 3 and s == -hilbert_symbol(d, -1, E):
             return 3
-        if n == 4 and trivial and s == -hilbert_symbol(-1, -1, E, ctx):
+        if n == 4 and trivial and s == -hilbert_symbol(-1, -1, E):
             return 4
         # Split off a hyperbolic plane: disc is stable, the Hasse invariant
         # picks up (P, -1) where P is the entry product of the smaller form.
         m = n - 2
         prod_rep = d if (m * (m - 1) // 2) % 2 == 0 else -d
-        s *= hilbert_symbol(prod_rep, -1, E, ctx)
+        s *= hilbert_symbol(prod_rep, -1, E)
         n = m
 
 
-def form_class_at(entries: tuple[int, ...], E: LocalField, ctx: EngineContext | None = None) -> LocalFormClass:
+def form_class_at(entries: tuple[int, ...], E: LocalField) -> LocalFormClass:
     """Local invariants of the diagonal form with the given entries over E."""
     n = len(entries)
     prod = 1
@@ -316,5 +272,5 @@ def form_class_at(entries: tuple[int, ...], E: LocalField, ctx: EngineContext | 
     h = 1
     for i in range(n):
         for j in range(i + 1, n):
-            h *= hilbert_symbol(entries[i], entries[j], E, ctx)
-    return LocalFormClass(n, local_square_class(disc_rep, E, ctx), h, None)
+            h *= hilbert_symbol(entries[i], entries[j], E)
+    return LocalFormClass(n, local_square_class(disc_rep, E), h, None)

@@ -6,8 +6,8 @@ the independent certificate verifier.
 Searches are deterministic: square-free candidates are ordered by absolute
 value (smallest first, + before -), drawing primes from the instance's prime
 support before fresh small primes, and the first qualifying candidate is
-returned.  The verifier re-derives both certificate conclusions in a fresh
-context so that no cached verdict from the search is reused.
+returned.  The verifier re-derives both certificate conclusions from
+scratch; the engine memoises nothing, so no verdict of the search is reused.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .forms import (
     witt_equivalent,
 )
 from .involutions import InvolutionAlgebra, QuaternionAlg, degree_index, involution_discriminant, norm_form, reduce_to_form
-from .localfields import EngineContext
 
 DEFAULT_BOUND = 10**6
 _MAX_FACTORS = 4
@@ -137,25 +136,24 @@ def candidate_classes(support_primes, bound: int):
         yield -v
 
 
-def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND,
-                      ctx: EngineContext | None = None) -> int | None:
+def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND) -> int | None:
     """A square-free d != 1 with i(phi over Q(sqrt d)) > i(phi) and a in
     N*_{Q(sqrt d)}, or None when the bound is exhausted.
 
     Preconditions: a is a similarity factor of phi and phi is not hyperbolic
     (such a d exists; the search bound is an engineering cap).
     """
-    if is_hyperbolic(phi, ctx):
+    if is_hyperbolic(phi):
         raise DomainError("form is hyperbolic: no index-raising extension is needed")
-    if not in_G(phi, a, ctx):
+    if not in_G(phi, a):
         raise DomainError(f"{a} is not a similarity factor of the form")
     a = squarefree_rep(a)
-    base_index = witt_decompose(phi, ctx)[0]
+    base_index = witt_decompose(phi)[0]
     support = prime_support(list(phi.entries) + [a])
     for d in candidate_classes(support, bound):
-        if not norm_member(a, d, ctx):
+        if not norm_member(a, d):
             continue
-        if witt_index_over(phi, make_tower([d]), ctx) > base_index:
+        if witt_index_over(phi, make_tower([d])) > base_index:
             return d
     return None
 
@@ -164,8 +162,7 @@ def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND,
 # Certificates.
 
 
-def _certificate(phi: QForm, tower: ExtensionTower, c_original: Rat,
-                 ctx: EngineContext | None) -> HypCertificate:
+def _certificate(phi: QForm, tower: ExtensionTower, c_original: Rat) -> HypCertificate:
     c_sf = squarefree_rep(c_original)
     adjustment = Fraction(c_sf) / Fraction(c_original)
     assert adjustment > 0 and _is_rational_square(adjustment)
@@ -173,7 +170,7 @@ def _certificate(phi: QForm, tower: ExtensionTower, c_original: Rat,
         multiplier=c_sf,
         tower=tower,
         square_adjustment=adjustment,
-        evidence=tuple(hyperbolicity_evidence(phi, tower, ctx)),
+        evidence=tuple(hyperbolicity_evidence(phi, tower)),
     )
     if not verify_certificate(phi, cert):
         raise InvariantViolation(f"search produced a certificate that fails verification: {cert}")
@@ -187,8 +184,8 @@ def _is_rational_square(q: Fraction) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
-def lemma24_certificate(pi: QForm, psi: QForm, c: Rat, bound: int = DEFAULT_BOUND,
-                        ctx: EngineContext | None = None) -> HypCertificate | SearchExhausted:
+def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
+                        bound: int = DEFAULT_BOUND) -> HypCertificate | SearchExhausted:
     """For phi = pi (x) psi in I^4 (pi a 2-fold Pfister form, psi of dimension
     6) and a similarity factor c, produce a verified certificate whose tower
     is trivial, quadratic or biquadratic, with phi hyperbolic over the tower
@@ -204,33 +201,33 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat, bound: int = DEFAULT_BOUN
     if psi.dim != 6:
         raise DomainError("second argument must be 6-dimensional")
     phi = tensor(pi, psi)
-    if not in_In(phi, 4, ctx):
+    if not in_In(phi, 4):
         raise DomainError("pi (x) psi does not lie in I^4")
-    if not in_G(phi, c, ctx):
+    if not in_G(phi, c):
         raise DomainError(f"{c} is not a similarity factor of pi (x) psi")
     c_sf = squarefree_rep(c)
 
-    if is_hyperbolic(phi, ctx):
-        return _certificate(phi, TRIVIAL_TOWER, c, ctx)
+    if is_hyperbolic(phi):
+        return _certificate(phi, TRIVIAL_TOWER, c)
 
-    d1 = lemma_beta_search(phi, c_sf, bound, ctx)
+    d1 = lemma_beta_search(phi, c_sf, bound)
     if d1 is None:
         return _exhausted(phi, c_sf, bound, "quadratic")
     L = make_tower([d1])
-    if is_hyperbolic_over(phi, L, ctx):
-        return _certificate(phi, L, c, ctx)
+    if is_hyperbolic_over(phi, L):
+        return _certificate(phi, L, c)
 
     support = prime_support(list(phi.entries) + [c_sf, d1])
     for d2 in candidate_classes(support, bound):
         if d2 == d1:
             continue
-        if not norm_member(c_sf, d2, ctx):
+        if not norm_member(c_sf, d2):
             continue
         M = make_tower([d1, d2])
         if M.downgraded or M.degree != 4:
             continue
-        if is_hyperbolic_over(phi, M, ctx):
-            return _certificate(phi, M, c, ctx)
+        if is_hyperbolic_over(phi, M):
+            return _certificate(phi, M, c)
     return _exhausted(phi, c_sf, bound, "biquadratic")
 
 
@@ -245,9 +242,8 @@ def _exhausted(phi: QForm, c: int, bound: int, stage: str) -> SearchExhausted:
 
 
 def verify_certificate(phi: QForm, cert: HypCertificate) -> bool:
-    """Independent re-derivation of both certificate conclusions, in a fresh
-    context (no cache is shared with any search)."""
-    ctx = EngineContext()
+    """Independent re-derivation of both certificate conclusions (the engine
+    keeps no cache, so nothing is shared with any search)."""
     tower = cert.tower
     if len(tower.generators) > 2:
         return False
@@ -261,17 +257,16 @@ def verify_certificate(phi: QForm, cert: HypCertificate) -> bool:
         return False
     if not _is_rational_square(cert.square_adjustment):
         return False
-    if not is_hyperbolic_over(phi, tower, ctx):
+    if not is_hyperbolic_over(phi, tower):
         return False
-    return norm_member_tower(cert.multiplier, tower, ctx)
+    return norm_member_tower(cert.multiplier, tower)
 
 
 # ----------------------------------------------------------------------
 # Degree-8: explicit Pfister decomposition.
 
 
-def thm4_decompose(phi4: QForm, q: QuaternionAlg,
-                   ctx: EngineContext | None = None) -> PfisterDecomposition:
+def thm4_decompose(phi4: QForm, q: QuaternionAlg) -> PfisterDecomposition:
     """Decompose <<a,b>> (x) <a1,a2,a3,a4> up to Witt equivalence as
     a1<<-a1a3, -a1a2, a, b>> + a4<<a1a2a3a4, a, b>>, and verify the identity
     by invariant equality at every relevant place."""
@@ -286,7 +281,7 @@ def thm4_decompose(phi4: QForm, q: QuaternionAlg,
         slots3=(squarefree_rep(a1 * a2 * a3 * a4), q.a, q.b),
     )
     target = tensor(norm_form(q), phi4)
-    if not witt_equivalent(dec.reassemble(), target, ctx):
+    if not witt_equivalent(dec.reassemble(), target):
         raise InvariantViolation(f"Pfister decomposition failed to verify for {phi4}, {q}")
     return dec
 
@@ -317,8 +312,7 @@ def _norm_values(q: QuaternionAlg, count: int, seed: int = 0) -> list[int]:
 
 
 def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
-                  bound: int = DEFAULT_BOUND, seed: int = 0,
-                  ctx: EngineContext | None = None) -> PipelineReport:
+                  bound: int = DEFAULT_BOUND, seed: int = 0) -> PipelineReport:
     """Hypothesis checks for the degree-12 symplectic instance, then a
     certificate per multiplier.
 
@@ -332,11 +326,11 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
     alg = InvolutionAlgebra(phi6, q)
     report = PipelineReport(description=f"phi={phi6} Q={q}")
 
-    degree, index = degree_index(alg, ctx)
+    degree, index = degree_index(alg)
     report.checks.append(("degree", degree == 12, f"degree = {degree}"))
     report.checks.append(("index", index <= 2, f"index = {index}"))
 
-    delta, trivial = involution_discriminant(alg, ctx)
+    delta, trivial = involution_discriminant(alg)
     report.checks.append(
         ("delta-trivial", trivial,
          f"Delta = <<{', '.join(str(s) for s in pfister_slots(delta))}>>"))
@@ -346,7 +340,7 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
 
     psi = reduce_to_form(alg)
     report.psi = psi
-    in_i4 = in_In(psi, 4, ctx)
+    in_i4 = in_In(psi, 4)
     report.checks.append(("psi-in-I4", in_i4, f"dim psi = {psi.dim}"))
     if not in_i4:
         report.halted_at = "psi-in-I4"
@@ -357,10 +351,10 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
     pi = norm_form(q)
     for c in multipliers:
         c_sf = squarefree_rep(c)
-        if not in_G(psi, c_sf, ctx):
+        if not in_G(psi, c_sf):
             report.multipliers.append(MultiplierResult(c_sf, "not-in-G"))
             continue
-        outcome = lemma24_certificate(pi, phi6, c, bound, ctx)
+        outcome = lemma24_certificate(pi, phi6, c, bound)
         if isinstance(outcome, SearchExhausted):
             report.multipliers.append(
                 MultiplierResult(c_sf, "not-found-within-bounds", bound=outcome.bound))
@@ -373,14 +367,13 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
 # Numerically checkable shadow of the anisotropic-kernel factorisation.
 
 
-def prop_index_check(pi: QForm, psi: QForm, M: ExtensionTower,
-                     ctx: EngineContext | None = None) -> bool:
+def prop_index_check(pi: QForm, psi: QForm, M: ExtensionTower) -> bool:
     """For phi = pi (x) psi (pi a Pfister form, psi even-dimensional), the
     anisotropic kernel over any extension is pi (x) (something of dimension
     congruent to dim psi mod 2): check that the anisotropic dimension over M
     is divisible by dim pi with quotient of the right parity."""
     phi = tensor(pi, psi)
-    aniso = phi.dim - 2 * witt_index_over(phi, M, ctx)
+    aniso = phi.dim - 2 * witt_index_over(phi, M)
     if aniso % pi.dim:
         return False
     return (aniso // pi.dim) % 2 == psi.dim % 2

@@ -1,4 +1,9 @@
-"""Exact models of 2-adic completions of degree <= 4 over Q_2.
+"""Reference oracle for dyadic completions: exact models of the 2-adic
+fields of degree <= 4 over Q_2 and bounded residue searches in them.
+
+The engine decides every dyadic question by closed forms (Serre's formula,
+norm compatibility, Kummer theory); this module decides the same questions
+from element-level arithmetic, so tests can compare the two.
 
 A completion E = Q_2(sqrt(c1)[, sqrt(c2)]) is modelled through its ring of
 integers O_E = Z_2[theta] in a verified power basis: the generator theta is
@@ -19,41 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .arith import DomainError, squarefree_rep
-
-# Canonical representatives of Q_2* / Q_2*^2, ordered.  The unit part of a
-# class is determined mod 8, the valuation mod 2.
-DYADIC_CLASSES = (1, 3, 5, 7, 2, 6, 10, 14)
-
-
-def dyadic_class(r) -> int:
-    """Canonical representative of the square class of r in Q_2."""
-    r = Fraction(r)
-    if r == 0:
-        raise DomainError("square class of 0")
-    n = abs(r.numerator * r.denominator)
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    if r < 0:
-        n = -n
-    u = n % 8
-    return u * 2 if v % 2 else u
-
-
-def dyadic_mult(c1: int, c2: int) -> int:
-    return dyadic_class(c1 * c2)
-
-
-def dyadic_subgroup(gens) -> frozenset[int]:
-    """Subgroup of Q_2*/Q_2*^2 generated by the given elements."""
-    group = {1}
-    for g in gens:
-        c = dyadic_class(g)
-        group |= {dyadic_mult(c, h) for h in group}
-    return frozenset(group)
+from wittcert.arith import DomainError, squarefree_rep
+from wittcert.localfields import DYADIC_CLASSES, LocalField, dyadic_class, dyadic_subgroup
 
 
 # ----------------------------------------------------------------------
@@ -623,3 +597,36 @@ def build_model(subgroup: frozenset[int]) -> DyadicModel:
     if len(nontrivial) == 3:
         return _build_quartic(subgroup)
     raise DomainError(f"not a square-class subgroup: {sorted(subgroup)}")
+
+
+# ----------------------------------------------------------------------
+# Oracle entry points over engine completions.
+
+
+@cache
+def _model_for(subgroup: frozenset[int]) -> DyadicModel:
+    return build_model(subgroup)
+
+
+def _dyadic_model(E: LocalField) -> DyadicModel:
+    if E.base.is_real or E.base.p != 2:
+        raise DomainError("dyadic residue search needs residue characteristic 2")
+    return _model_for(dyadic_subgroup(E.gens))
+
+
+def residue_square_test(a, E: LocalField) -> bool:
+    """Square test in a dyadic completion by exhaustive residue search modulo
+    pi^(2e+1) (the Hensel-sufficient precision)."""
+    if Fraction(a) == 0:
+        raise DomainError("square test of 0")
+    return _dyadic_model(E).is_square(squarefree_rep(a))
+
+
+def residue_hilbert_symbol(a, b, E: LocalField) -> int:
+    """(a, b) over a dyadic completion: +1 iff <1, -a, -b> is isotropic, by
+    the ternary residue search modulo pi^(2e+3)."""
+    if Fraction(a) == 0 or Fraction(b) == 0:
+        raise DomainError("hilbert symbol of 0")
+    # dyadic_class absorbs the sign into the unit part mod 8.
+    ca, cb = dyadic_class(a), dyadic_class(b)
+    return 1 if _dyadic_model(E).ternary_isotropic(1, -ca, -cb) else -1

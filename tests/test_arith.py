@@ -119,6 +119,19 @@ class TestFactorize:
         assert fac == {p: 1, q: 1}
 
 
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        small = [n for n in range(2, 500) if all(n % d for d in range(2, n))]
+        assert [n for n in range(500) if is_prime(n)] == small
+
+    def test_strong_pseudoprime_to_bases_up_to_37(self):
+        # The least strong pseudoprime to every prime base up to 37 (OEIS
+        # A014233); base 41 exposes it, and factorize must split it.
+        n = 318665857834031151167461
+        assert not is_prime(n)
+        assert factorize(n) == {399165290221: 1, 798330580441: 1}
+
+
 def test_legendre_matches_residue_scan():
     for p in (3, 5, 7, 11, 13):
         residues = {x * x % p for x in range(1, p)}

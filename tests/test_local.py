@@ -3,16 +3,16 @@ import random
 
 import pytest
 
+from dyadic_oracle import build_model, residue_hilbert_symbol, residue_square_test
 from oracles import hilbert_oracle_odd, hilbert_oracle_q2, square_mod_2_15
 from wittcert.arith import DomainError, prime_support, squarefree_rep
-from wittcert.dyadic import DYADIC_CLASSES, build_model, dyadic_subgroup
 from wittcert.localfields import (
+    DYADIC_CLASSES,
     REAL,
-    EngineContext,
     LocalField,
     LocalFormClass,
     Place,
-    dyadic_square_test,
+    dyadic_subgroup,
     form_class_at,
     hilbert_symbol,
     local_aniso_dim,
@@ -36,6 +36,19 @@ def all_quartic_subgroups():
     return sorted(out, key=sorted)
 
 
+def dyadic_completion(sub) -> LocalField:
+    """The completion of Q_2 cut out by a square-class subgroup."""
+    f = 2 if 5 in sub else 1
+    return LocalField(Place(2), tuple(sorted(sub - {1})[:2]), len(sub) // f, f)
+
+
+ALL_DYADIC_COMPLETIONS = (
+    [Q2]
+    + [dyadic_completion(dyadic_subgroup([c])) for c in DYADIC_CLASSES[1:]]
+    + [dyadic_completion(sub) for sub in all_quartic_subgroups()]
+)
+
+
 class TestDyadicModels:
     def test_all_fourteen_extensions_build(self):
         for c in DYADIC_CLASSES[1:]:
@@ -50,15 +63,18 @@ class TestDyadicModels:
             assert (m.f == 2) == (5 in sub)
 
     def test_square_test_matches_kummer(self):
-        # Element-level residue search against the Galois-theoretic answer.
+        # Element-level residue search against the Galois-theoretic answer,
+        # which is what local_square_class computes.
         for c in DYADIC_CLASSES[1:]:
             m = build_model(frozenset({1, c}))
+            E = dyadic_completion(frozenset({1, c}))
             for d in DYADIC_CLASSES:
-                assert m.is_square(d) == (d in {1, c})
+                assert m.is_square(d) == (d in {1, c}) == (local_square_class(d, E) == 1)
         for sub in all_quartic_subgroups()[:3]:
             m = build_model(sub)
+            E = dyadic_completion(sub)
             for d in DYADIC_CLASSES:
-                assert m.is_square(d) == (d in sub)
+                assert m.is_square(d) == (d in sub) == (local_square_class(d, E) == 1)
 
 
 class TestHilbertSymbolQ2:
@@ -74,6 +90,20 @@ class TestHilbertSymbolQ2:
         for a in signed:
             for b in signed:
                 assert hilbert_symbol(a, b, Q2) == hilbert_oracle_q2(a, b), (a, b)
+
+    def test_closed_form_matches_residue_search_on_every_dyadic_completion(self):
+        # Every class pair over Q_2 and its 7 quadratic and 7 biquadratic
+        # extensions: the closed form against element-level residue searches.
+        assert len(ALL_DYADIC_COMPLETIONS) == 15
+        assert len({E.gens for E in ALL_DYADIC_COMPLETIONS}) == 15
+        minus = 0
+        for E in ALL_DYADIC_COMPLETIONS:
+            for a in DYADIC_CLASSES:
+                for b in DYADIC_CLASSES:
+                    expected = residue_hilbert_symbol(a, b, E)
+                    assert hilbert_symbol(a, b, E) == expected, (a, b, str(E))
+                    minus += expected == -1
+        assert minus > 0
 
 
 class TestHilbertSymbolOdd:
@@ -126,8 +156,8 @@ class TestSymbolLaws:
             assert prod == 1, (a, b)
 
     def test_even_degree_extensions_split_everything(self):
-        # Rational symbols restrict trivially to any even-degree completion;
-        # here that falls out of residue searches and the tame formula.
+        # Rational symbols restrict trivially to any even-degree completion
+        # (norm compatibility).
         for E in self.FIELDS:
             if E.degree < 2 or E.base.is_real:
                 continue
@@ -158,6 +188,7 @@ class TestLocalSquareClass:
         assert local_square_class(14, E7) == local_square_class(2, E7)
 
     def test_agrees_with_dyadic_square_test(self):
+        # Kummer reduction against the residue-search square test of the oracle.
         rng = random.Random(24)
         fields = [Q2,
                   LocalField(Place(2), gens=(5,), e=1, f=2),
@@ -166,25 +197,26 @@ class TestLocalSquareClass:
         for _ in range(80):
             a = rng.randint(-100, 100) or 1
             for E in fields:
-                assert (local_square_class(a, E) == 1) == dyadic_square_test(a, E), (a, str(E))
+                assert (local_square_class(a, E) == 1) == residue_square_test(a, E), (a, str(E))
 
 
 class TestDyadicSquareTest:
+    # "a is a square in E" is local_square_class(a, E) == 1; the residue
+    # search of the oracle is checked alongside.
     def test_frozen(self):
-        assert dyadic_square_test(9, Q2)
-        assert dyadic_square_test(17, Q2)
-        assert not dyadic_square_test(5, Q2)
-        assert not dyadic_square_test(2, Q2)
-        assert dyadic_square_test(-7, Q2)
+        for a, square in ((9, True), (17, True), (5, False), (2, False), (-7, True)):
+            assert (local_square_class(a, Q2) == 1) == square, a
+            assert residue_square_test(a, Q2) == square, a
 
     def test_brute_force_agreement(self):
         # Units of height <= 100 against x^2 = u mod 2^15.
         for u in range(-99, 100, 2):
-            assert dyadic_square_test(u, Q2) == square_mod_2_15(u), u
+            assert (local_square_class(u, Q2) == 1) == square_mod_2_15(u), u
+            assert residue_square_test(u, Q2) == square_mod_2_15(u), u
 
     def test_odd_place_rejected(self):
         with pytest.raises(DomainError):
-            dyadic_square_test(3, Q5)
+            residue_square_test(3, Q5)
 
 
 class TestLocalAnisoDim:
@@ -227,26 +259,15 @@ class TestLocalAnisoDim:
             local_aniso_dim(LocalFormClass(2, 1, 1, signature=5), R)
 
 
-def test_verification_context_is_independent():
-    ctx1 = EngineContext()
-    assert hilbert_symbol(-1, -1, Q2, ctx1) == -1
-    ctx2 = EngineContext()
-    assert not ctx2._symbols
-    assert hilbert_symbol(-1, -1, Q2, ctx2) == -1
-
-
 def test_concurrent_calls_match_sequential():
-    # Shared-cache behaviour must be observationally identical to no cache.
+    # Concurrent calls must be observationally identical to sequential ones.
     from concurrent.futures import ThreadPoolExecutor
 
     rng = random.Random(27)
     pairs = [(rng.randint(-60, 60) or 1, rng.randint(-60, 60) or 1) for _ in range(120)]
     fields = [Q2, Q5, LocalField(Place(2), gens=(3, 5), e=2, f=2)]
-    sequential_ctx = EngineContext()
-    expected = [hilbert_symbol(a, b, E, sequential_ctx)
-                for a, b in pairs for E in fields]
-    shared = EngineContext()
+    expected = [hilbert_symbol(a, b, E) for a, b in pairs for E in fields]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        got = list(pool.map(lambda t: hilbert_symbol(t[0], t[1], t[2], shared),
+        got = list(pool.map(lambda t: hilbert_symbol(*t),
                             [(a, b, E) for a, b in pairs for E in fields]))
     assert got == expected

@@ -10,6 +10,7 @@ Pollard-Brent fallback for large cofactors).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 Rat = int | Fraction
 
@@ -55,8 +56,6 @@ def _pollard_brent(n: int) -> int:
     """Find a nontrivial factor of composite odd n."""
     if n % 2 == 0:
         return 2
-    from math import gcd
-
     seed = 1
     while True:
         seed += 1
@@ -124,21 +123,41 @@ def factorize(n: int, trial_bound: int = _TRIAL_BOUND) -> dict[int, int]:
     return out
 
 
+def _squarefree_part(r: Rat) -> tuple[int, list[int]]:
+    """(squarefree_rep(r), the primes dividing it), from one factorization."""
+    if not isinstance(r, int):
+        r = Fraction(r)
+        r = r.numerator * r.denominator  # same square class
+    if r == 0:
+        raise DomainError("squarefree_rep of 0")
+    primes = [p for p, e in factorize(r).items() if e % 2]
+    s = -1 if r < 0 else 1
+    for p in primes:
+        s *= p
+    return s, primes
+
+
 def squarefree_rep(r: Rat) -> int:
     """The unique square-free integer s with r*s a nonzero rational square.
 
     Squares map to 1; the sign of r is preserved.
     """
-    r = Fraction(r)
-    if r == 0:
-        raise DomainError("squarefree_rep of 0")
-    n = r.numerator * r.denominator  # same square class as r
-    sign = -1 if n < 0 else 1
-    s = sign
-    for p, e in factorize(n).items():
-        if e % 2:
-            s *= p
-    return s
+    return _squarefree_part(r)[0]
+
+
+def _class_product(a: int, b: int) -> int:
+    """The square class of a*b, without factoring: with g = gcd(a, b),
+    ab = g^2 (a/g)(b/g).  For square-free a and b the result is square-free
+    (a/g and b/g are coprime), so it equals squarefree_rep(a * b)."""
+    g = gcd(a, b)
+    return (a // g) * (b // g)
+
+
+def _is_rational_square(q: Rat) -> bool:
+    """Whether q is the square of a rational, by integer square roots."""
+    q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    return n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
 def _valuation_unit(p: int, r: Rat) -> tuple[int, int]:

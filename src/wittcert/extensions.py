@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, Rat, squarefree_rep
+from .arith import DomainError, Rat, _class_product, _is_rational_square, squarefree_rep
 from .localfields import (
     REAL,
     LocalField,
@@ -50,7 +50,7 @@ class ExtensionTower:
         """Square classes of Q becoming squares in M (Kummer group)."""
         out = {1}
         for g in self.generators:
-            out |= {squarefree_rep(g * h) for h in out}
+            out |= {_class_product(g, h) for h in out}
         return out
 
     def __str__(self) -> str:
@@ -81,7 +81,7 @@ def make_tower(ds) -> ExtensionTower:
         if c == 1 or c in gens:
             downgraded = downgraded or c != 1
             continue
-        if len(gens) == 1 and squarefree_rep(gens[0] * c) == 1:
+        if len(gens) == 1 and _class_product(gens[0], c) == 1:
             downgraded = True
             continue
         gens.append(c)
@@ -157,10 +157,13 @@ def aniso_dim_over(phi: QForm, M: ExtensionTower) -> int:
     return lower
 
 
-def disc_in_tower(d: int, M: ExtensionTower) -> bool:
-    """Kummer: a rational square class is a square in M iff it lies in the
-    subgroup generated by the tower generators."""
-    return squarefree_rep(d) in M.subgroup()
+def disc_in_tower(d: Rat, M: ExtensionTower) -> bool:
+    """Kummer: a nonzero rational is a square in M iff its square class lies
+    in the subgroup generated by the tower generators, i.e. iff d*s is a
+    rational square for some s in that subgroup (no factoring)."""
+    if d == 0:
+        raise DomainError("square class of 0")
+    return any(_is_rational_square(d * s) for s in M.subgroup())
 
 
 def witt_index_over(phi: QForm, M: ExtensionTower) -> int:

@@ -17,12 +17,14 @@ The zero-dimensional form is admitted internally as the empty orthogonal sum
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import DomainError, Rat, prime_support, squarefree_rep
+from .arith import DomainError, Rat, _class_product, _squarefree_part, prime_support, squarefree_rep
 from .localfields import (
     REAL,
+    LocalField,
+    LocalFormClass,
     Place,
     form_class_at,
     hilbert_symbol,
@@ -42,14 +44,37 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class QForm:
-    """A diagonal quadratic form over Q: an ordered tuple of square classes."""
+    """A diagonal quadratic form over Q: an ordered tuple of square classes.
+
+    `support` is the prime support of the entries, always including 2: the
+    finite places where a local invariant can be nontrivial.  The constructor
+    learns it while validating, with one factorization per entry; `qform`,
+    `orth_sum`, `tensor`, `scale` and `pfister` derive it from what they
+    already know, without factoring the results.  Equality, hashing and repr
+    use the entries alone."""
 
     entries: tuple[int, ...]
+    support: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        reps, support = [], {2}
         for a in self.entries:
-            if a == 0 or squarefree_rep(a) != a:
+            s, primes = _squarefree_part(a) if a != 0 else (None, ())
+            if s != a:
                 raise DomainError(f"form entry {a} is not a square-free nonzero integer")
+            reps.append(s)
+            support.update(primes)
+        object.__setattr__(self, "entries", tuple(reps))
+        object.__setattr__(self, "support", frozenset(support))
+
+    @classmethod
+    def _derived(cls, entries: tuple[int, ...], support) -> QForm:
+        """A form from entries already known to be square-free integers, with
+        their prime support (including 2): no validation, no factoring."""
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "entries", entries)
+        object.__setattr__(phi, "support", frozenset(support))
+        return phi
 
     @property
     def dim(self) -> int:
@@ -60,8 +85,21 @@ class QForm:
 
 
 def qform(values) -> QForm:
-    """Build a form, reducing every entry to its square class."""
-    return QForm(tuple(squarefree_rep(v) for v in values))
+    """Build a form, reducing every value to its square class (one
+    factorization per value)."""
+    entries, support = [], {2}
+    for v in values:
+        s, primes = _squarefree_part(v)
+        entries.append(s)
+        support.update(primes)
+    return QForm._derived(tuple(entries), support)
+
+
+def _support_among(entries, primes) -> set[int]:
+    """2 and the primes among `primes` that divide an entry: the support of
+    a form whose entries are square classes of products of numbers
+    supported on `primes`."""
+    return {2} | {p for p in primes if any(a % p == 0 for a in entries)}
 
 
 HYPERBOLIC_PLANE = QForm((1, -1))
@@ -86,12 +124,10 @@ class WittClassQ:
 def disc(phi: QForm) -> int:
     """Signed discriminant (-1)^(n(n-1)/2) * a_1...a_n as a square class."""
     n = phi.dim
-    if n == 0:
-        return 1
-    prod = 1
+    d = -1 if (n * (n - 1) // 2) % 2 else 1
     for a in phi.entries:
-        prod *= a
-    return squarefree_rep(prod * (-1) ** (n * (n - 1) // 2))
+        d = _class_product(d, a)
+    return d
 
 
 def signature(phi: QForm) -> int:
@@ -99,14 +135,15 @@ def signature(phi: QForm) -> int:
 
 
 def hasse_invariant(phi: QForm, v: Place) -> int:
-    """Product of Hilbert symbols (a_i, a_j) over i < j at the completion at v."""
+    """Product of Hilbert symbols (a_i, a_j) over i < j at the completion at
+    v, evaluated as prod_j (a_1...a_{j-1}, a_j) with n - 1 symbols."""
     return form_class_at(phi.entries, rationals_at(v)).hasse
 
 
 def relevant_places(phi: QForm, extra=()) -> list[Place]:
     """Real place, 2, and all primes dividing an entry (or an extra element);
     outside this set every local invariant is automatically split."""
-    primes = prime_support(list(phi.entries) + [x for x in extra if x])
+    primes = phi.support | prime_support(x for x in extra if x)
     return [REAL] + [Place(p) for p in sorted(primes)]
 
 
@@ -175,7 +212,7 @@ def witt_decompose(phi: QForm) -> tuple[int, int, WittClassQ]:
     if (negs * (negs - 1) // 2) % 2:
         minus.add(REAL)
     cls = WittClassQ(aniso % 2, d if aniso else 1, frozenset(minus), sig)
-    if ARASON_PFISTER_CHECK and in_In(phi, 4) and 0 < aniso < 16:
+    if ARASON_PFISTER_CHECK and _local_in_I4(n, d, sig, local) and 0 < aniso < 16:
         global _ap_violations
         _ap_violations += 1
         raise InvariantViolation(
@@ -210,7 +247,7 @@ def is_isometric(phi: QForm, psi: QForm) -> bool:
         return False
     if disc(phi) != disc(psi) or signature(phi) != signature(psi):
         return False
-    primes = prime_support(phi.entries) | prime_support(psi.entries)
+    primes = phi.support | psi.support
     for p in sorted(primes):
         v = Place(p)
         if hasse_invariant(phi, v) != hasse_invariant(psi, v):
@@ -236,32 +273,37 @@ def witt_equivalent(phi: QForm, psi: QForm) -> bool:
 
 
 def orth_sum(phi: QForm, psi: QForm) -> QForm:
-    return QForm(phi.entries + psi.entries)
+    return QForm._derived(phi.entries + psi.entries, phi.support | psi.support)
 
 
 def tensor(phi: QForm, psi: QForm) -> QForm:
-    return QForm(tuple(squarefree_rep(a * b) for a in phi.entries for b in psi.entries))
+    entries = tuple(_class_product(a, b) for a in phi.entries for b in psi.entries)
+    return QForm._derived(entries, _support_among(entries, phi.support | psi.support))
 
 
 def scale(c: Rat, phi: QForm) -> QForm:
-    c = squarefree_rep(c)
-    return QForm(tuple(squarefree_rep(c * a) for a in phi.entries))
+    c, primes = _squarefree_part(c)
+    entries = tuple(_class_product(c, a) for a in phi.entries)
+    return QForm._derived(entries, _support_among(entries, phi.support.union(primes)))
+
+
+def _pfister_entries(slots) -> tuple[int, ...]:
+    """Subset-order expansion of square-free slots: the entry at index S (as
+    a bit set) is the class of prod_{i in S} (-a_i)."""
+    if len(slots) > 4:
+        raise DomainError("Pfister forms of more than 4 slots are out of scope")
+    entries = [1]
+    for a in slots:
+        entries += [_class_product(e, -a) for e in entries]
+    return tuple(entries)
 
 
 def pfister(slots) -> QForm:
     """The n-fold Pfister form <1,-a_1> x ... x <1,-a_n>, n <= 4, expanded in
     subset order: the entry at index S (as a bit set) is prod_{i in S} (-a_i)."""
-    slots = [squarefree_rep(s) for s in slots]
-    if len(slots) > 4:
-        raise DomainError("Pfister forms of more than 4 slots are out of scope")
-    entries = []
-    for mask in range(1 << len(slots)):
-        prod = 1
-        for i, a in enumerate(slots):
-            if mask >> i & 1:
-                prod *= -a
-        entries.append(squarefree_rep(prod))
-    return QForm(tuple(entries))
+    parts = [_squarefree_part(s) for s in slots]
+    support = {2}.union(*(primes for _, primes in parts))
+    return QForm._derived(_pfister_entries([s for s, _ in parts]), support)
 
 
 def pfister_slots(phi: QForm) -> tuple[int, ...] | None:
@@ -269,8 +311,8 @@ def pfister_slots(phi: QForm) -> tuple[int, ...] | None:
     n = phi.dim.bit_length() - 1
     if phi.dim != 1 << n or phi.entries[0] != 1:
         return None
-    slots = tuple(squarefree_rep(-phi.entries[1 << i]) for i in range(n))
-    return slots if pfister(slots) == phi else None
+    slots = tuple(-phi.entries[1 << i] for i in range(n))
+    return slots if _pfister_entries(slots) == phi.entries else None
 
 
 # ----------------------------------------------------------------------
@@ -321,14 +363,26 @@ def in_In(phi: QForm, n: int) -> bool:
     sig = signature(phi)
     if sig % (8 if n == 3 else 16):
         return False
-    k = phi.dim // 2
-    for p in sorted(prime_support(phi.entries)):
-        v = Place(p)
-        E = rationals_at(v)
-        split_hasse = hilbert_symbol(-1, -1, E) ** (k * (k - 1) // 2)
-        if hasse_invariant(phi, v) != split_hasse:
+    for p in sorted(phi.support):
+        E = rationals_at(Place(p))
+        if not _split_hasse(form_class_at(phi.entries, E), E):
             return False
     return True
+
+
+def _split_hasse(cls: LocalFormClass, E: LocalField) -> bool:
+    """Whether a finite-place class of even dimension 2k has the Hasse
+    invariant of k hyperbolic planes, as every form in I^3 does."""
+    k = cls.dim // 2
+    return cls.hasse == hilbert_symbol(-1, -1, E) ** (k * (k - 1) // 2)
+
+
+def _local_in_I4(n: int, d: int, sig: int, local) -> bool:
+    """in_In(phi, 4) from what witt_decompose already holds: the dimension,
+    discriminant and signature of phi and its local classes at every
+    relevant place."""
+    return (n % 2 == 0 and d == 1 and sig % 16 == 0
+            and all(v.is_real or _split_hasse(cls, E) for v, (cls, E) in local.items()))
 
 
 def ap_violation_count() -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import DomainError, Rat, _valuation_unit, is_prime, legendre, squarefree_rep
+from .arith import DomainError, Rat, _class_product, _valuation_unit, is_prime, legendre
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,23 +254,25 @@ def local_aniso_dim(c: LocalFormClass, E: LocalField) -> int:
 
 
 def form_class_at(entries: tuple[int, ...], E: LocalField) -> LocalFormClass:
-    """Local invariants of the diagonal form with the given entries over E."""
+    """Local invariants of the diagonal form with the given nonzero integer
+    entries over E.
+
+    Over Q_p and its extensions the Hasse invariant prod_{i<j} (a_i, a_j) is
+    evaluated by bilinearity as prod_j (a_1...a_{j-1}, a_j): n - 1 symbols,
+    with the prefix product carried as a square class by gcd cancellation
+    (no factorization).  The final prefix gives the discriminant."""
     n = len(entries)
-    prod = 1
-    for a in entries:
-        prod *= a
-    disc_rep = squarefree_rep(prod * (-1) ** (n * (n - 1) // 2)) if n else 1
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
     if E.is_real:
-        sig = sum(1 if a > 0 else -1 for a in entries)
-        h = 1
         negs = sum(1 for a in entries if a < 0)
-        if (negs * (negs - 1) // 2) % 2:
-            h = -1
-        return LocalFormClass(n, 1 if disc_rep > 0 else -1, h, sig)
+        sig = n - 2 * negs
+        h = -1 if (negs * (negs - 1) // 2) % 2 else 1
+        return LocalFormClass(n, -sign if negs % 2 else sign, h, sig)
     if E.is_complex:
         return LocalFormClass(n, 1, 1, None)
     h = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            h *= hilbert_symbol(entries[i], entries[j], E)
-    return LocalFormClass(n, local_square_class(disc_rep, E), h, None)
+    prefix = entries[0] if n else 1
+    for a in entries[1:]:
+        h *= hilbert_symbol(prefix, a, E)
+        prefix = _class_product(prefix, a)
+    return LocalFormClass(n, local_square_class(sign * prefix, E), h, None)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import DomainError, Rat, prime_support, squarefree_rep
+from .arith import DomainError, Rat, _class_product, _is_rational_square, prime_support, squarefree_rep
 from .extensions import (
     ExtensionTower,
     PlaceEvidence,
@@ -149,7 +149,7 @@ def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND) -> int | N
         raise DomainError(f"{a} is not a similarity factor of the form")
     a = squarefree_rep(a)
     base_index = witt_decompose(phi)[0]
-    support = prime_support(list(phi.entries) + [a])
+    support = phi.support | prime_support([a])
     for d in candidate_classes(support, bound):
         if not norm_member(a, d):
             continue
@@ -175,13 +175,6 @@ def _certificate(phi: QForm, tower: ExtensionTower, c_original: Rat) -> HypCerti
     if not verify_certificate(phi, cert):
         raise InvariantViolation(f"search produced a certificate that fails verification: {cert}")
     return cert
-
-
-def _is_rational_square(q: Fraction) -> bool:
-    from math import isqrt
-
-    n, d = q.numerator, q.denominator
-    return n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
 def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
@@ -217,7 +210,7 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
     if is_hyperbolic_over(phi, L):
         return _certificate(phi, L, c)
 
-    support = prime_support(list(phi.entries) + [c_sf, d1])
+    support = phi.support | prime_support([c_sf, d1])
     for d2 in candidate_classes(support, bound):
         if d2 == d1:
             continue
@@ -275,10 +268,9 @@ def thm4_decompose(phi4: QForm, q: QuaternionAlg) -> PfisterDecomposition:
     a1, a2, a3, a4 = phi4.entries
     dec = PfisterDecomposition(
         scale4=a1,
-        slots4=(squarefree_rep(-a1 * a3), squarefree_rep(-a1 * a2),
-                q.a, q.b),
+        slots4=(_class_product(-a1, a3), _class_product(-a1, a2), q.a, q.b),
         scale3=a4,
-        slots3=(squarefree_rep(a1 * a2 * a3 * a4), q.a, q.b),
+        slots3=(_class_product(_class_product(a1, a2), _class_product(a3, a4)), q.a, q.b),
     )
     target = tensor(norm_form(q), phi4)
     if not witt_equivalent(dec.reassemble(), target):

@@ -60,6 +60,14 @@ class TestBasicVerbs:
                              '{"inv_algebra":{"phi":{"diag":[1]},"q":[3,7]}}')
         assert code == 0 and out == {"diag": [1, -3, -7, 21]}
 
+    def test_isotropic_with_large_entries(self, capsys):
+        # The entry products exceed 10^24; each entry is factored on its own.
+        code, out = run_json(capsys, "isotropic", '{"diag":[1,1000000000039,-3000000000013]}')
+        assert code == 0 and out == {"isotropic": False}
+        # 399165290221 * 798330580441, a strong pseudoprime to every base up to 37.
+        code, out = run_json(capsys, "isotropic", '{"diag":[1,-73,-318665857834031151167461]}')
+        assert code == 0 and out == {"isotropic": True}
+
     def test_norm_member(self, capsys):
         code, out = run_json(capsys, "norm-member", '{"c":-1,"d":2}')
         assert code == 0 and out == {"member": True}

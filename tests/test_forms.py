@@ -56,10 +56,11 @@ class TestInvariants:
             assert disc(orth_sum(phi, HYPERBOLIC_PLANE)) == disc(phi)
 
     def test_entry_validation(self):
-        with pytest.raises(DomainError):
-            QForm((4,))
-        with pytest.raises(DomainError):
-            QForm((0,))
+        for entries in ((4,), (0,), (1, 12), (-18,)):
+            with pytest.raises(DomainError):
+                QForm(entries)
+        with pytest.raises(TypeError):  # the support is learned, never given
+            QForm((1,), frozenset({2}))
 
 
 class TestIsotropy:

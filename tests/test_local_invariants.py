@@ -1,0 +1,201 @@
+"""Local invariants from one factorization per entry: the prefix-product
+Hasse invariant, gcd products of square classes, the prime support a form
+carries, the Arason-Pfister guard's I^4 test, and the sizes of the integers
+the engine factorizes."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wittcert import arith, codecs, forms
+from wittcert.arith import _class_product, prime_support, squarefree_rep
+from wittcert.extensions import aniso_dim_over, make_tower
+from wittcert.forms import (
+    QForm,
+    in_In,
+    is_isometric,
+    is_isotropic,
+    orth_sum,
+    pfister,
+    qform,
+    scale,
+    tensor,
+    witt_decompose,
+)
+from wittcert.localfields import (
+    REAL,
+    LocalField,
+    Place,
+    form_class_at,
+    hilbert_symbol,
+    local_square_class,
+    rationals_at,
+)
+
+FIELDS = [LocalField(REAL)] + [rationals_at(Place(p)) for p in (2, 3, 5, 7, 11, 13)]
+
+nonzero = st.integers(-10**6, 10**6).filter(bool)
+squarefree = nonzero.map(squarefree_rep)
+# Square-free values with a large prime factor now and then, so that forms
+# carry places beyond the small primes.
+entry = st.one_of(squarefree, squarefree.map(lambda a: _class_product(a, 1000003)))
+entries = st.lists(entry, max_size=8)
+
+
+def all_pairs_class(es, E):
+    """The definition: disc from the full product, Hasse from every pair."""
+    n = len(es)
+    prod = (-1) ** (n * (n - 1) // 2)
+    for a in es:
+        prod *= a
+    h = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            h *= hilbert_symbol(es[i], es[j], E)
+    return local_square_class(prod, E), h
+
+
+class TestPrefixHasse:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(nonzero, max_size=24), st.sampled_from(FIELDS))
+    def test_prefix_hasse_matches_all_pairs(self, es, E):
+        cls = form_class_at(tuple(es), E)
+        assert (cls.disc, cls.hasse) == all_pairs_class(es, E)
+        assert cls.dim == len(es)
+
+    def test_symbols_per_finite_class(self, monkeypatch):
+        import wittcert.localfields as lf
+
+        calls = []
+        original = lf.hilbert_symbol
+        monkeypatch.setattr(lf, "hilbert_symbol", lambda *a: calls.append(a) or original(*a))
+        for n in (0, 1, 2, 24):
+            calls.clear()
+            form_class_at(tuple(range(1, n + 1)), rationals_at(Place(2)))
+            assert len(calls) == max(n - 1, 0)
+
+
+class TestClassProduct:
+    @settings(max_examples=500, deadline=None)
+    @given(squarefree, squarefree)
+    def test_squarefree_operands(self, a, b):
+        assert _class_product(a, b) == squarefree_rep(a * b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonzero, nonzero)
+    def test_any_operands_keep_the_class(self, a, b):
+        assert squarefree_rep(_class_product(a, b)) == squarefree_rep(a * b)
+
+
+def descriptor(draw_leaf, depth):
+    """Composable JSON form descriptors, as codecs.parse_form reads them."""
+    if depth == 0:
+        return draw_leaf
+    sub = st.deferred(lambda: descriptor(draw_leaf, depth - 1))
+    return st.one_of(
+        draw_leaf,
+        st.lists(sub, min_size=1, max_size=2).map(lambda xs: {"tensor": xs}),
+        st.lists(sub, min_size=1, max_size=3).map(lambda xs: {"sum": xs}),
+        st.tuples(nonzero, sub).map(lambda t: {"scale": [t[0], t[1]]}),
+    )
+
+
+leaf = st.one_of(
+    st.lists(nonzero, min_size=1, max_size=3).map(lambda xs: {"diag": xs}),
+    st.lists(nonzero, max_size=2).map(lambda xs: {"pfister": xs}),
+)
+
+
+class TestSupport:
+    def check(self, phi):
+        assert phi.support == prime_support(phi.entries)
+        assert isinstance(phi.support, frozenset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries, entries, nonzero, st.lists(nonzero, max_size=3))
+    def test_every_constructor(self, xs, ys, c, slots):
+        phi, psi = QForm(tuple(xs)), qform(ys)
+        for form in (phi, psi, orth_sum(phi, psi), tensor(phi, psi), scale(c, psi),
+                     pfister(slots), tensor(pfister(slots), phi)):
+            self.check(form)
+
+    @settings(max_examples=100, deadline=None)
+    @given(descriptor(leaf, 2))
+    def test_parsed_descriptors(self, desc):
+        self.check(codecs.parse_form(desc))
+
+    def test_support_stays_out_of_value(self):
+        phi, psi = qform([3, 5]), QForm((3, 5))
+        assert phi == psi and hash(phi) == hash(psi)
+        assert repr(phi) == "QForm(entries=(3, 5))"
+        assert codecs.dump_form(tensor(phi, psi)) == {"diag": [1, 15, 15, 1]}
+
+
+class TestArasonPfisterGuard:
+    def test_guard_agrees_with_in_In(self, monkeypatch):
+        verdicts = []
+        original = forms._local_in_I4
+
+        def recording(*args):
+            verdicts.append(original(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(forms, "_local_in_I4", recording)
+        rng = random.Random(5)
+        cases = [pfister([2, 3, 5, 7]), pfister([-1, -1, -1, -1]),
+                 tensor(pfister([-1, -1]), qform([1, 1, 1, 1, 1, -3])),
+                 tensor(pfister([2, 5]), qform([1, 1, 1, 1, 1, 2])),
+                 orth_sum(pfister([2, 3, 5]), scale(-1, pfister([2, 3, 5]))),
+                 qform([1] * 16), qform([1] * 8 + [-1] * 8), qform([1, -1])]
+        for _ in range(60):
+            slots = [rng.choice([-1, 1]) * rng.randint(1, 30) for _ in range(rng.randint(2, 4))]
+            form = pfister(slots)
+            if rng.random() < 0.5:
+                form = scale(rng.randint(-30, 30) or 1, form)
+            cases.append(orth_sum(form, qform([rng.choice([-1, 1]) * rng.randint(1, 30)
+                                               for _ in range(rng.choice([0, 2, 4]))])))
+        for phi in cases:
+            verdicts.clear()
+            witt_decompose(phi)
+            assert verdicts == [in_In(phi, 4)], phi
+        assert {True, False} <= {in_In(phi, 4) for phi in cases}
+
+
+class TestFactorizationSizes:
+    """The engine factorizes each entry, never a product of entries."""
+
+    FORMS = [
+        (1, 1000000000039, -3000000000013),
+        (1, -73, -318665857834031151167461),
+        (1000003, -1000033, 1000037, -1000039, 6),
+        (-2, 1000003 * 1000033, -1000037, 7, -7 * 1000037, 1000039),
+    ]
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        args = []
+        original = arith.factorize
+        monkeypatch.setattr(arith, "factorize", lambda n, *a: args.append(n) or original(n, *a))
+        return args
+
+    @pytest.mark.parametrize("entries", FORMS)
+    def test_no_argument_exceeds_the_largest_entry(self, factored, entries):
+        phi = QForm(entries)
+        other = QForm(tuple(reversed(entries)))
+        tower = make_tower([-1, 3])
+        bits = max(abs(a).bit_length() for a in entries)
+        factored.clear()
+        is_isotropic(phi)
+        witt_decompose(phi)
+        is_isometric(phi, other)
+        in_In(phi, 4)
+        in_In(orth_sum(phi, phi), 3)
+        aniso_dim_over(phi, tower)
+        assert max((abs(n).bit_length() for n in factored), default=0) <= bits
+
+    def test_qform_factors_each_value_once(self, factored):
+        values = [12, -1000000000039, 3000000000013 * 4, 18, -7]
+        phi = qform(values)
+        assert len(factored) == len(values)
+        assert phi.entries == (3, -1000000000039, 3000000000013, 2, -7)

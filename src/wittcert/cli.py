@@ -225,6 +225,16 @@ def _run_verb(verb: str, payload, opts) -> dict:
     raise DomainError(f"unknown verb {verb!r}")
 
 
+def _default_bound() -> int:
+    raw = os.environ.get("WITTCERT_SEARCH_BOUND")
+    if raw is None:
+        return DEFAULT_BOUND
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"WITTCERT_SEARCH_BOUND is not an integer: {raw!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wittcert",
@@ -235,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("payload", nargs="?", default="{}",
                         help="JSON payload (or a bare form/tower string)")
     parser.add_argument("--bound", type=int,
-                        default=int(os.environ.get("WITTCERT_SEARCH_BOUND", DEFAULT_BOUND)),
-                        help="search bound for square-free tower generators")
+                        help="search bound for square-free tower generators "
+                             "(default: WITTCERT_SEARCH_BOUND, else 10^6)")
     parser.add_argument("--trace", action="store_true",
                         help="emit per-place local evidence for hyperbolicity verdicts")
     parser.add_argument("--seed", type=int, default=0,
@@ -256,6 +266,8 @@ def main(argv=None) -> int:
         # Accept the bare text syntaxes as a convenience.
         payload = opts.payload
     try:
+        if opts.bound is None:
+            opts.bound = _default_bound()
         result = _run_verb(opts.verb, payload, opts)
     except HypothesisFailure as exc:
         print(str(exc))

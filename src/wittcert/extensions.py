@@ -9,8 +9,10 @@ a rational discriminant is the Kummer condition "class lies in the subgroup
 generated by the tower generators"; given that, every place outside the prime
 support of (entries + generators, 2, real) is automatically split.
 
-Norm membership for biquadratic towers uses the intersection law
-N*_L cap N*_L' = Q*^2 * N*_M, reducing each test to a ternary isotropy check.
+Norm membership in a quadratic extension is Hasse's norm theorem: a Hilbert
+symbol at 2, at the primes of the two classes and at the real place.  For
+biquadratic towers the intersection law N*_L cap N*_L' = Q*^2 * N*_M reduces
+it to the two quadratic subextensions.
 """
 
 from __future__ import annotations
@@ -18,20 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, Rat, _class_product, _is_rational_square, squarefree_rep
+from .arith import DomainError, Rat, _class_product, _is_rational_square, _squarefree_part, squarefree_rep
 from .localfields import (
     REAL,
     LocalField,
     Place,
     _odd_class_rep,
     _odd_subgroup,
+    _symbol_split_at,
     dyadic_subgroup,
     form_class_at,
     local_aniso_dim,
     rationals_at,
 )
 from . import forms
-from .forms import QForm, qform
+from .forms import QForm
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +73,7 @@ class PlaceFiber:
 def make_tower(ds) -> ExtensionTower:
     """Canonical tower from requested generators.  Square generators are
     discarded and dependent biquadratic generators are downgraded to the
-    smaller tower (with the flag set), mirroring how the biquadratic case of
-    the certificate search degenerates."""
+    smaller tower (with the flag set)."""
     gens: list[int] = []
     downgraded = False
     for d in ds:
@@ -204,13 +206,19 @@ def hyperbolicity_evidence(phi: QForm, M: ExtensionTower) -> list[PlaceEvidence]
 
 
 def norm_member(c: Rat, d: int) -> bool:
-    """c in N*_{Q(sqrt d)/Q}, via representability by <1, -d>."""
+    """c in N*_{Q(sqrt d)/Q}, by Hasse's norm theorem for cyclic extensions
+    (Serre, A Course in Arithmetic, III): c is a norm iff (c, d)_v = +1 at
+    every place v.  At the real place that fails only for c < 0 and d < 0;
+    at an odd prime dividing neither c nor d both are units."""
     if Fraction(c) == 0:
         raise DomainError("norm membership of 0")
-    d = squarefree_rep(d)
+    d, d_primes = _squarefree_part(d)
     if d == 1:
         raise DomainError("trivial extension: norm group is all of Q*")
-    return forms.represents(qform([1, -d]), c)
+    c, c_primes = _squarefree_part(c)
+    if c < 0 and d < 0:
+        return False
+    return _symbol_split_at(c, d, {2, *c_primes, *d_primes})
 
 
 def norm_member_tower(c: Rat, M: ExtensionTower) -> bool:

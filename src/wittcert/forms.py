@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import DomainError, Rat, _class_product, _squarefree_part, prime_support, squarefree_rep
+from .arith import DomainError, Rat, _class_product, _squarefree_part, prime_support
 from .localfields import (
     REAL,
     LocalField,
     LocalFormClass,
     Place,
+    _symbol_split_at,
     form_class_at,
     hilbert_symbol,
     local_aniso_dim,
@@ -329,22 +330,29 @@ def represents(phi: QForm, c: Rat) -> bool:
 
 
 def in_G(phi: QForm, c: Rat) -> bool:
-    """Similarity-factor test: c in G(phi) iff <<c>> x phi is hyperbolic,
-    equivalently c*phi is isometric to phi.  Both routes are computed and must
-    agree; disagreement means an engine bug."""
+    """Similarity-factor test, c*phi isometric to phi, in closed form over Q.
+
+    An odd-dimensional phi has G(phi) = Q*^2, its discriminant changing by c.
+    For even dimension the scaling law s_p(c phi) = s_p(phi) (c, disc phi)_p
+    of the Hasse invariant (Lam, Ch. V) gives: c is a similarity factor iff
+    c > 0 or sig phi = 0, and (c, disc phi)_p = +1 at every prime p of the
+    support of phi and of c (elsewhere both are units at an odd p).  The
+    verdict is checked against the complete invariant test of
+    c*phi = phi; disagreement means an engine bug."""
     if Fraction(c) == 0:
         raise DomainError("similarity factor must be nonzero")
-    c = squarefree_rep(c)
-    if phi.dim == 0:
-        return True
-    via_pfister = is_hyperbolic(tensor(pfister([c]), phi))
-    via_isometry = is_isometric(scale(c, phi), phi)
-    if via_pfister != via_isometry:
+    c, primes = _squarefree_part(c)
+    if phi.dim % 2:
+        closed = c == 1
+    else:
+        closed = (c > 0 or signature(phi) == 0) and _symbol_split_at(
+            c, disc(phi), phi.support.union(primes))
+    if closed != is_isometric(scale(c, phi), phi):
         raise InvariantViolation(
-            f"in_G decision paths disagree for {phi}, c={c}: "
-            f"pfister={via_pfister} isometry={via_isometry}"
+            f"in_G closed form disagrees with the isometry test for {phi}, c={c}: "
+            f"closed form {closed}"
         )
-    return via_pfister
+    return closed
 
 
 def in_In(phi: QForm, n: int) -> bool:

@@ -215,6 +215,11 @@ def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
     return legendre((-1) ** (alpha * beta) * u ** beta * w ** alpha, p)
 
 
+def _symbol_split_at(a: Rat, b: Rat, primes) -> bool:
+    """Whether (a, b)_p = +1 at every prime p of `primes`."""
+    return all(hilbert_symbol(a, b, LocalField(Place(p))) == 1 for p in primes)
+
+
 # ----------------------------------------------------------------------
 # Anisotropic dimension from local invariants.
 

@@ -1,21 +1,22 @@
 """The main procedures: the quadratic-extension search that raises the Witt
-index, the trivial/quadratic/biquadratic hyperbolicity-certificate
-constructor, the degree-8 Pfister decomposition, the degree-12 pipeline, and
-the independent certificate verifier.
+index, the hyperbolicity-certificate constructor (a trivial or an imaginary
+quadratic tower, which is all the theorems over Q leave), the degree-8
+Pfister decomposition, the degree-12 pipeline, and the independent
+certificate verifier.
 
 Searches are deterministic: square-free candidates are ordered by absolute
-value (smallest first, + before -), drawing primes from the instance's prime
-support before fresh small primes, and the first qualifying candidate is
-returned.  The verifier re-derives both certificate conclusions from
-scratch; the engine memoises nothing, so no verdict of the search is reused.
+value (smallest first, + before -), built from the instance's prime support
+and the small primes, and the first qualifying candidate is returned.  The
+verifier re-derives both certificate conclusions from scratch; the engine
+memoises nothing, so no verdict of the search is reused.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .arith import DomainError, Rat, _class_product, _is_rational_square, prime_support, squarefree_rep
 from .extensions import (
@@ -32,13 +33,13 @@ from .extensions import (
 from .forms import (
     InvariantViolation,
     QForm,
+    _pfister_entries,
+    _support_among,
     in_G,
     in_In,
     is_hyperbolic,
     orth_sum,
-    pfister,
     pfister_slots,
-    scale,
     tensor,
     witt_decompose,
     witt_equivalent,
@@ -74,18 +75,24 @@ class SearchExhausted:
 @dataclass(frozen=True, slots=True)
 class PfisterDecomposition:
     """Witt decomposition of <<a,b>> (x) phi4 into a scaled 4-fold and a
-    scaled 3-fold Pfister form."""
+    scaled 3-fold Pfister form.  `primes` holds 2 and the primes that the
+    scales and slots are built from (those of phi4 and of a, b)."""
 
     scale4: int
     slots4: tuple[int, int, int, int]
     scale3: int
     slots3: tuple[int, int, int]
+    primes: frozenset[int] = field(compare=False, repr=False)
 
     def reassemble(self) -> QForm:
-        return orth_sum(
-            scale(self.scale4, pfister(self.slots4)),
-            scale(self.scale3, pfister(self.slots3)),
-        )
+        """The scaled Pfister forms, expanded by gcd products of the square
+        classes; the support is read off `primes`, nothing is factored."""
+        return orth_sum(self._scaled_pfister(self.scale4, self.slots4),
+                        self._scaled_pfister(self.scale3, self.slots3))
+
+    def _scaled_pfister(self, c: int, slots) -> QForm:
+        entries = tuple(_class_product(c, e) for e in _pfister_entries(slots))
+        return QForm._derived(entries, _support_among(entries, self.primes))
 
 
 @dataclass(slots=True)
@@ -116,33 +123,46 @@ class PipelineReport:
 # Candidate stream.
 
 
+def _check_bound(bound: int) -> None:
+    if bound < 1:
+        raise DomainError(f"search bound must be at least 1, got {bound}")
+
+
 def candidate_classes(support_primes, bound: int):
-    """Square-free candidates d != 1 ordered by |d| (then + before -), built
-    from at most four primes of the given support plus small primes."""
+    """Square-free candidates d != 1 ordered by |d| (then + before -): -1 and
+    the products of one to four primes of the given support or the small
+    primes, up to the bound.
+
+    The products are enumerated lazily in increasing order from a heap.  A
+    product whose largest prime is pool[i] has two successors, both larger:
+    times pool[i+1], and with pool[i] replaced by pool[i+1].  Every set of
+    prime indices arises from exactly one predecessor, so each product is
+    pushed once, and only when it is within the bound."""
     pool = sorted(set(support_primes) | set(_SMALL_PRIMES))
-    values = {1}
-    for k in range(1, _MAX_FACTORS + 1):
-        for combo in combinations(pool, k):
-            prod = 1
-            for p in combo:
-                prod *= p
-                if prod > bound:
-                    break
-            if prod <= bound:
-                values.add(prod)
-    for v in sorted(values):
+    heap = [(1, -1, 0)]  # (product, index of its largest prime, prime count)
+    while heap:
+        v, i, k = heapq.heappop(heap)
         if v != 1:
             yield v
         yield -v
+        j = i + 1
+        if j == len(pool):
+            continue
+        if k < _MAX_FACTORS and v * pool[j] <= bound:
+            heapq.heappush(heap, (v * pool[j], j, k + 1))
+        if k and v // pool[i] * pool[j] <= bound:
+            heapq.heappush(heap, (v // pool[i] * pool[j], j, k))
 
 
 def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND) -> int | None:
     """A square-free d != 1 with i(phi over Q(sqrt d)) > i(phi) and a in
     N*_{Q(sqrt d)}, or None when the bound is exhausted.
 
-    Preconditions: a is a similarity factor of phi and phi is not hyperbolic
-    (such a d exists; the search bound is an engineering cap).
+    Preconditions: the bound is at least 1, a is a similarity factor of phi
+    and phi is not hyperbolic (such a d exists; the search bound is an
+    engineering cap).
     """
+    _check_bound(bound)
     if is_hyperbolic(phi):
         raise DomainError("form is hyperbolic: no index-raising extension is needed")
     if not in_G(phi, a):
@@ -181,14 +201,20 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
                         bound: int = DEFAULT_BOUND) -> HypCertificate | SearchExhausted:
     """For phi = pi (x) psi in I^4 (pi a 2-fold Pfister form, psi of dimension
     6) and a similarity factor c, produce a verified certificate whose tower
-    is trivial, quadratic or biquadratic, with phi hyperbolic over the tower
-    and c in Q*^2 * N*.
+    is trivial or imaginary quadratic, with phi hyperbolic over the tower and
+    c in Q*^2 * N*.
 
-    The search mirrors the underlying argument: first a quadratic extension
-    raising the Witt index with c in its norm group; if that does not already
-    hyperbolise, a second quadratic extension against the residual data.  The
-    final hyperbolicity is always checked numerically, never deduced.
+    Over Q the tower follows from two theorems.  I^3(Q) is torsion-free and
+    detected by the signature, so a phi of signature 0 is hyperbolic and the
+    tower is Q.  Otherwise phi is Witt equivalent to a multiple of 16<1> and
+    c > 0.  For d > 0 the real place survives in Q(sqrt d), so the Witt
+    index cannot rise; for d < 0 the field is totally imaginary, its I^3 is
+    0 and phi becomes hyperbolic.  The tower is therefore Q(sqrt d) for the
+    first negative candidate d with c a norm from it: the first candidate of
+    the index-raising search (`lemma_beta_search`).  Every certificate is
+    still verified from scratch before it is returned.
     """
+    _check_bound(bound)
     if pfister_slots(pi) is None or pi.dim != 4:
         raise DomainError("first argument must be a 2-fold Pfister form")
     if psi.dim != 6:
@@ -202,36 +228,16 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
 
     if is_hyperbolic(phi):
         return _certificate(phi, TRIVIAL_TOWER, c)
-
-    d1 = lemma_beta_search(phi, c_sf, bound)
-    if d1 is None:
-        return _exhausted(phi, c_sf, bound, "quadratic")
-    L = make_tower([d1])
-    if is_hyperbolic_over(phi, L):
-        return _certificate(phi, L, c)
-
-    support = phi.support | prime_support([c_sf, d1])
-    for d2 in candidate_classes(support, bound):
-        if d2 == d1:
-            continue
-        if not norm_member(c_sf, d2):
-            continue
-        M = make_tower([d1, d2])
-        if M.downgraded or M.degree != 4:
-            continue
-        if is_hyperbolic_over(phi, M):
-            return _certificate(phi, M, c)
-    return _exhausted(phi, c_sf, bound, "biquadratic")
-
-
-def _exhausted(phi: QForm, c: int, bound: int, stage: str) -> SearchExhausted:
+    for d in candidate_classes(phi.support | prime_support([c_sf]), bound):
+        if d < 0 and norm_member(c_sf, d):
+            return _certificate(phi, make_tower([d]), c)
     # The hypotheses guarantee a certificate exists, so exhaustion means the
     # bound is too small or there is an engine defect; never accept silently.
     logger.warning(
-        "certificate search exhausted (stage %s, bound %d) on a hypothesis-"
+        "certificate search exhausted (stage quadratic, bound %d) on a hypothesis-"
         "satisfying instance: dim %d form, multiplier %d; this indicates a "
-        "too-small bound or an engine defect", stage, bound, phi.dim, c)
-    return SearchExhausted(bound, stage)
+        "too-small bound or an engine defect", bound, phi.dim, c_sf)
+    return SearchExhausted(bound, "quadratic")
 
 
 def verify_certificate(phi: QForm, cert: HypCertificate) -> bool:
@@ -266,13 +272,15 @@ def thm4_decompose(phi4: QForm, q: QuaternionAlg) -> PfisterDecomposition:
     if phi4.dim != 4:
         raise DomainError("decomposition needs a 4-dimensional form")
     a1, a2, a3, a4 = phi4.entries
+    pi = norm_form(q)
     dec = PfisterDecomposition(
         scale4=a1,
         slots4=(_class_product(-a1, a3), _class_product(-a1, a2), q.a, q.b),
         scale3=a4,
         slots3=(_class_product(_class_product(a1, a2), _class_product(a3, a4)), q.a, q.b),
+        primes=phi4.support | pi.support,
     )
-    target = tensor(norm_form(q), phi4)
+    target = tensor(pi, phi4)
     if not witt_equivalent(dec.reassemble(), target):
         raise InvariantViolation(f"Pfister decomposition failed to verify for {phi4}, {q}")
     return dec
@@ -311,8 +319,10 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
     Checks, in order: degree 12, index <= 2, trivial involution discriminant,
     psi = phi (x) <<a,b>> in I^4.  A failing check halts the pipeline and is
     recorded in the report (not raised).  When no multipliers are supplied,
-    ten square classes represented by the norm form are sampled.
+    ten square classes represented by the norm form are sampled.  The bound
+    must be at least 1.
     """
+    _check_bound(bound)
     if phi6.dim != 6:
         raise DomainError("pipeline needs a 6-dimensional form")
     alg = InvolutionAlgebra(phi6, q)

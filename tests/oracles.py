@@ -1,16 +1,22 @@
 """Independent oracles for the test suite.
 
-Everything here decides by explicit witnesses or exhaustive residue
+Most of what is here decides by explicit witnesses or exhaustive residue
 enumeration, never through the engine's invariant machinery, so that each
-engine verdict is checked along a second, unrelated route.
+engine verdict is checked along a second, unrelated route.  The last
+section keeps the generic routes and the searches that the engine's closed
+forms replaced, as reference implementations for those closed forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
-from wittcert.arith import squarefree_rep
+from wittcert.arith import prime_support, squarefree_rep
+from wittcert.extensions import TRIVIAL_TOWER, hyperbolicity_evidence, is_hyperbolic_over, make_tower
+from wittcert.forms import is_hyperbolic, is_isometric, pfister, qform, represents, scale, tensor
+from wittcert.similitude import _MAX_FACTORS, _SMALL_PRIMES, HypCertificate, SearchExhausted, lemma_beta_search
 
 
 def perfect_square(n: int) -> bool:
@@ -289,3 +295,69 @@ def check_quadratic_witness(entries, d, witness) -> bool:
     rat = sum(c * (a * a + d * b * b) for c, (a, b) in zip(entries, witness))
     irr = sum(c * a * b for c, (a, b) in zip(entries, witness))
     return rat == 0 and irr == 0 and any(a or b for a, b in witness)
+
+
+# ----------------------------------------------------------------------
+# Generic routes and searches behind the engine's closed forms.
+
+
+def in_G_via_tensor(phi, c) -> bool:
+    """c in G(phi) iff the Pfister multiple <<c>> (x) phi is hyperbolic."""
+    return is_hyperbolic(tensor(pfister([squarefree_rep(c)]), phi))
+
+
+def in_G_via_isometry(phi, c) -> bool:
+    """c in G(phi) iff c*phi is isometric to phi."""
+    return is_isometric(scale(c, phi), phi)
+
+
+def norm_member_via_represents(c, d) -> bool:
+    """c in N*_{Q(sqrt d)} iff the norm form <1, -d> represents c."""
+    return represents(qform([1, -d]), c)
+
+
+def eager_candidate_classes(support_primes, bound):
+    """The candidate stream built eagerly: every product of up to four pool
+    primes within the bound, sorted, each followed by its negative."""
+    pool = sorted(set(support_primes) | set(_SMALL_PRIMES))
+    values = {1}
+    for k in range(1, _MAX_FACTORS + 1):
+        for combo in combinations(pool, k):
+            prod = 1
+            for p in combo:
+                prod *= p
+            if prod <= bound:
+                values.add(prod)
+    for v in sorted(values):
+        if v != 1:
+            yield v
+        yield -v
+
+
+def lemma24_by_search(pi, psi, c, bound):
+    """The two-stage certificate search for a hypothesis-satisfying
+    (pi, psi, c): an index-raising quadratic extension with c a norm, then,
+    if that does not hyperbolise, a second generator against it.  Returns
+    the certificate, unverified, or the exhausted stage."""
+    phi = tensor(pi, psi)
+    c_sf = squarefree_rep(c)
+
+    def certificate(tower):
+        return HypCertificate(c_sf, tower, Fraction(c_sf) / Fraction(c),
+                              tuple(hyperbolicity_evidence(phi, tower)))
+
+    if is_hyperbolic(phi):
+        return certificate(TRIVIAL_TOWER)
+    d1 = lemma_beta_search(phi, c_sf, bound)
+    if d1 is None:
+        return SearchExhausted(bound, "quadratic")
+    L = make_tower([d1])
+    if is_hyperbolic_over(phi, L):
+        return certificate(L)
+    for d2 in eager_candidate_classes(phi.support | prime_support([c_sf, d1]), bound):
+        if d2 == d1 or not norm_member_via_represents(c_sf, d2):
+            continue
+        M = make_tower([d1, d2])
+        if not M.downgraded and M.degree == 4 and is_hyperbolic_over(phi, M):
+            return certificate(M)
+    return SearchExhausted(bound, "biquadratic")

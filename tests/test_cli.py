@@ -172,3 +172,21 @@ class TestCliContract:
         code, out = run_json(capsys, "lemma-beta",
                              '{"form":{"diag":[1,1,1,1]},"a":1}', "--bound", "50")
         assert code == 0 and out == {"d": -1}
+
+    def test_bound_below_one_is_a_precondition_failure(self, capsys):
+        for bound in ("-7", "0"):
+            code, out = run_json(capsys, "lemma-beta",
+                                 '{"form":{"diag":[1,1,1,1]},"a":1}', "--bound", bound)
+            assert code == 2
+            assert out == {"error": "precondition-failed",
+                           "detail": f"search bound must be at least 1, got {bound}"}
+
+    def test_non_integer_bound_variable_is_malformed_input(self, capsys, monkeypatch):
+        monkeypatch.setenv("WITTCERT_SEARCH_BOUND", "abc")
+        code, out = run_json(capsys, "lemma-beta", '{"form":{"diag":[1,1,1,1]},"a":1}')
+        assert code == 1
+        assert out == {"error": "malformed-input",
+                       "detail": "WITTCERT_SEARCH_BOUND is not an integer: 'abc'"}
+        monkeypatch.setenv("WITTCERT_SEARCH_BOUND", "2")
+        code, out = run_json(capsys, "lemma-beta", '{"form":{"diag":[1,1,1,1]},"a":3}')
+        assert code == 0 and out == {"d": -2}

@@ -1,0 +1,132 @@
+"""The engine's closed forms against the routes and searches they replaced
+(kept in `oracles`): similarity factors by the Hasse-invariant scaling law,
+norm groups by Hasse's norm theorem, the lazily enumerated candidate stream,
+and the one-stage certificate construction."""
+
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from oracles import (
+    eager_candidate_classes,
+    in_G_via_isometry,
+    in_G_via_tensor,
+    lemma24_by_search,
+    norm_member_via_represents,
+)
+from test_acceptance import _generate_lemma24_instances
+from wittcert import codecs, forms
+from wittcert.arith import squarefree_rep
+from wittcert.extensions import norm_member
+from wittcert.forms import InvariantViolation, QForm, in_G, pfister, qform, tensor
+from wittcert.similitude import HypCertificate, candidate_classes, lemma24_certificate
+
+SQUAREFREE = [n for n in range(-150, 151) if n and squarefree_rep(n) == n]
+PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+
+
+def bench_certify_pool():
+    """The (pi, psi, c) instances of the benchmark's certify workload."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    rng = workloads._rng(0, "certify-pool")
+    return [workloads.certify_instance(rng, definite) for definite in workloads.Certify.POOL]
+
+
+class TestSimilarityFactors:
+    def check(self, phi, c) -> bool:
+        expected = in_G_via_tensor(phi, c)
+        assert in_G_via_isometry(phi, c) == expected, (phi, c)
+        assert in_G(phi, c) == expected, (phi, c)
+        return expected
+
+    def test_random_forms_of_dimension_0_to_8(self):
+        rng = random.Random(601)
+        verdicts = []
+        for _ in range(3000):
+            if rng.random() < 0.25:
+                # Pfister forms are round: each value is a similarity factor.
+                phi = pfister([rng.choice([-1, 1]) * rng.randint(1, 30)
+                               for _ in range(rng.randint(1, 3))])
+                x = [rng.randint(-4, 4) for _ in phi.entries]
+                c = sum(a * t * t for a, t in zip(phi.entries, x)) or 1
+            else:
+                phi = qform([rng.choice([-1, 1]) * rng.randint(1, 30)
+                             for _ in range(rng.randint(0, 8))])
+                c = rng.choice([-1, 1]) * rng.randint(1, 60) * rng.choice([1, 1, 4])
+            verdicts.append(self.check(phi, c))
+        assert verdicts.count(True) > 700 and verdicts.count(False) > 700
+
+    def test_bench_certify_pool(self):
+        verdicts = []
+        for inst in bench_certify_pool():
+            phi = tensor(QForm(tuple(inst["pi"])), QForm(tuple(inst["psi"])))
+            assert phi.dim == 24
+            for c in [inst["c"]] + [c for c in SQUAREFREE if abs(c) <= 30]:
+                verdicts.append(self.check(phi, c))
+        assert verdicts.count(True) > 30 and verdicts.count(False) > 30
+
+    def test_disagreement_with_the_isometry_test_raises(self, monkeypatch):
+        original = forms.is_isometric
+        monkeypatch.setattr(forms, "is_isometric", lambda a, b: not original(a, b))
+        for phi, c in ((qform([1, 1, 1, 1]), 2), (qform([1, 1]), -1), (qform([3, 5, 7]), 1)):
+            with pytest.raises(InvariantViolation):
+                in_G(phi, c)
+
+
+class TestNormGroups:
+    def test_every_pair_of_small_classes(self):
+        members = 0
+        for d in SQUAREFREE:
+            if d == 1:
+                continue
+            for c in SQUAREFREE:
+                expected = norm_member_via_represents(c, d)
+                assert norm_member(c, d) == expected, (c, d)
+                members += expected
+        assert 0 < members < len(SQUAREFREE) ** 2 // 2
+
+    def test_rational_and_non_squarefree_arguments(self):
+        for c, d in ((-3 * 49, -3 * 4), ("-3/4", -3), ("5/18", 10), (12, 3), ("2/7", 14)):
+            assert norm_member(Fraction(c), d) == norm_member_via_represents(Fraction(c), d)
+
+
+class TestCandidateStream:
+    @pytest.mark.parametrize("bound", [1, 2, 10, 100, 10**4, 10**6])
+    def test_lazy_matches_eager(self, bound):
+        rng = random.Random(602 + bound)
+        supports = [set(), {2}, {2, 3}, {2, 53}, {2, 997, 991}]
+        supports += [set(rng.sample(PRIMES, rng.randint(1, 6))) | {rng.choice(PRIMES[15:])}
+                     for _ in range(10)]
+        for support in supports:
+            assert list(candidate_classes(support, bound)) == list(
+                eager_candidate_classes(support, bound)), (support, bound)
+
+
+class TestCertificateSearch:
+    """The one quadratic stage gives the certificates, or the exhausted
+    bound and stage, of the two-stage search it replaced."""
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+    def test_same_outcomes_as_the_two_stage_search(self, seed):
+        instances = _generate_lemma24_instances(random.Random(seed), 100)
+        outcomes = {"certificate": 0, "exhausted": 0}
+        for pi, psi, c in instances:
+            for bound in (1, 2, 10, 10**6):
+                got = lemma24_certificate(pi, psi, c, bound)
+                want = lemma24_by_search(pi, psi, c, bound)
+                if isinstance(want, HypCertificate):
+                    assert isinstance(got, HypCertificate), (pi, psi, c, bound)
+                    assert codecs.dump_certificate(got) == codecs.dump_certificate(want)
+                    assert got.tower.degree in (1, 2)
+                    outcomes["certificate"] += 1
+                else:
+                    assert (got.bound, got.stage) == (want.bound, want.stage)
+                    outcomes["exhausted"] += 1
+        assert outcomes["certificate"] and outcomes["exhausted"]

@@ -23,6 +23,7 @@ from wittcert.forms import (
     tensor,
     witt_decompose,
 )
+from wittcert.involutions import quaternion
 from wittcert.localfields import (
     REAL,
     LocalField,
@@ -32,6 +33,7 @@ from wittcert.localfields import (
     local_square_class,
     rationals_at,
 )
+from wittcert.similitude import thm4_decompose
 
 FIELDS = [LocalField(REAL)] + [rationals_at(Place(p)) for p in (2, 3, 5, 7, 11, 13)]
 
@@ -193,6 +195,15 @@ class TestFactorizationSizes:
         in_In(orth_sum(phi, phi), 3)
         aniso_dim_over(phi, tower)
         assert max((abs(n).bit_length() for n in factored), default=0) <= bits
+
+    def test_thm4_decompose_factors_no_product(self, factored):
+        # The slots are classes of products of two and four entries.
+        phi4 = QForm((1000000000039, -3000000000013, 1000000000061, -1000000000063))
+        q = quaternion(3, 5)
+        bits = max(abs(a).bit_length() for a in phi4.entries)
+        factored.clear()
+        thm4_decompose(phi4, q).reassemble()
+        assert max(abs(n).bit_length() for n in factored) <= bits
 
     def test_qform_factors_each_value_once(self, factored):
         values = [12, -1000000000039, 3000000000013 * 4, 18, -7]

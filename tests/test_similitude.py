@@ -111,8 +111,8 @@ class TestLemmaBetaSearch:
             lemma_beta_search(qform([1, 1]), -1)
 
     def test_bound_exhaustion_returns_none(self):
-        # bound 0 leaves only the candidate -1, and 3 is not a sum of two squares.
-        assert lemma_beta_search(qform([1, 1, 1, 1]), 3, bound=0) is None
+        # bound 1 leaves only the candidate -1, and 3 is not a sum of two squares.
+        assert lemma_beta_search(qform([1, 1, 1, 1]), 3, bound=1) is None
 
 
 class TestCertificates:
@@ -173,9 +173,9 @@ class TestCertificates:
 
         with caplog.at_level(logging.WARNING, logger="wittcert"):
             outcome = lemma24_certificate(pfister([-1, -1]), qform([1, 1, 1, 1, 1, -3]),
-                                          3, bound=0)
+                                          3, bound=1)
         assert isinstance(outcome, SearchExhausted)
-        assert outcome.bound == 0 and outcome.stage == "quadratic"
+        assert outcome.bound == 1 and outcome.stage == "quadratic"
         assert any("exhausted" in rec.message for rec in caplog.records)
 
 

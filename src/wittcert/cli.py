@@ -265,6 +265,10 @@ def main(argv=None) -> int:
     except json.JSONDecodeError:
         # Accept the bare text syntaxes as a convenience.
         payload = opts.payload
+    except RecursionError:
+        print(json.dumps({"error": "malformed-input",
+                          "detail": "payload nests too deeply to decode"}, indent=2))
+        return 1
     try:
         if opts.bound is None:
             opts.bound = _default_bound()

@@ -26,6 +26,7 @@ from .localfields import (
     LocalField,
     LocalFormClass,
     Place,
+    _plane_factors,
     _symbol_split_at,
     form_class_at,
     hilbert_symbol,
@@ -137,7 +138,7 @@ def signature(phi: QForm) -> int:
 
 def hasse_invariant(phi: QForm, v: Place) -> int:
     """Product of Hilbert symbols (a_i, a_j) over i < j at the completion at
-    v, evaluated as prod_j (a_1...a_{j-1}, a_j) with n - 1 symbols."""
+    v, evaluated by `form_class_at` from one square class per entry."""
     return form_class_at(phi.entries, rationals_at(v)).hasse
 
 
@@ -199,14 +200,14 @@ def witt_decompose(phi: QForm) -> tuple[int, int, WittClassQ]:
     # s_small = s_big * ((-1)^(m(m-1)/2) d, -1) at each step down.
     minus = set()
     for v, (cls, E) in local.items():
-        s = cls.hasse
         if v.is_real:
             continue
-        m = n
+        s, m = cls.hasse, n
+        if m > aniso:
+            factors = _plane_factors(d, E)
         while m > aniso:
             m -= 2
-            prod_rep = d if (m * (m - 1) // 2) % 2 == 0 else -d
-            s *= hilbert_symbol(prod_rep, -1, E)
+            s *= factors[m * (m - 1) // 2 % 2]
         if s == -1:
             minus.add(v)
     negs = (aniso - sig) // 2

@@ -5,17 +5,22 @@ classes, ramification index e, residue degree f), never by element-level
 p-adic arithmetic; elements are global rationals interpreted locally.
 
 Square classes of rationals in a completion are base classes reduced modulo
-the Kummer subgroup of the adjoined square roots.  Hilbert symbols of
-rationals are closed forms: +1 over every even-degree completion (norm
-compatibility), the sign rule over R, the tame formula over Q_p for p odd
-and Serre's formula over Q_2.  No local answer is memoised.
+the Kummer subgroup of the adjoined square roots; a base class at a finite
+place is a pair (valuation parity, unit part), computed from one valuation
+and one Legendre symbol or residue mod 8.  Hilbert symbols of rationals are
+closed forms: +1 over every even-degree completion (norm compatibility), the
+sign rule over R, and over Q_p bit formulas on the class pairs (the tame
+formula for p odd, Serre's formula for p = 2).  The local invariants of a
+form come from one class pair per entry: the Hasse invariant by those bit
+formulas on a running prefix class, without calling `hilbert_symbol`.  No
+local answer is memoised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import DomainError, Rat, _class_product, _valuation_unit, is_prime, legendre
+from .arith import DomainError, Rat, _valuation_unit, is_prime, legendre
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,17 +104,27 @@ class LocalFormClass:
 
 # ----------------------------------------------------------------------
 # Square classes of completions.
+#
+# At a finite place p the class of a = p^v u (u a unit) in Q_p*/Q_p*^2 is a
+# pair (v mod 2, unit part).  For p odd the unit part is the nonresidue bit
+# of u, so the group is (Z/2)^2 under XOR; for p = 2 it is u mod 8, and the
+# group (Z/2)^3 multiplies it mod 8.
 
-# Canonical representatives of Q_2* / Q_2*^2, ordered.  The unit part of a
-# class is determined mod 8, the valuation mod 2.
+# Canonical representatives of Q_2* / Q_2*^2, ordered.
 DYADIC_CLASSES = (1, 3, 5, 7, 2, 6, 10, 14)
 _DYADIC_ORDER = {c: i for i, c in enumerate(DYADIC_CLASSES)}
 
 
+def _dyadic_pair(a: Rat) -> tuple[int, int]:
+    """(valuation parity, unit residue mod 8) of a in Q_2*."""
+    v, u = _valuation_unit(2, a)
+    return v % 2, u % 8
+
+
 def dyadic_class(r: Rat) -> int:
     """Canonical representative of the square class of r in Q_2."""
-    v, u = _valuation_unit(2, r)
-    return u % 8 * 2 if v % 2 else u % 8
+    v, u = _dyadic_pair(r)
+    return u * 2 if v else u
 
 
 def dyadic_subgroup(gens) -> frozenset[int]:
@@ -129,9 +144,10 @@ def _odd_nonresidue(p: int) -> int:
 
 
 def _odd_class_pair(a: Rat, p: int) -> tuple[int, int]:
-    """(valuation parity, nonresidue bit) of a in Q_p*, p odd."""
+    """(valuation parity, nonresidue bit) of a in Q_p*, p odd.  The bit is
+    Euler's criterion on the unit part, which is prime to p."""
     v, u = _valuation_unit(p, a)
-    return (v % 2, 0 if legendre(u, p) == 1 else 1)
+    return v % 2, 0 if pow(u, (p - 1) // 2, p) == 1 else 1
 
 
 def _odd_subgroup(gens, p: int) -> set[tuple[int, int]]:
@@ -140,16 +156,28 @@ def _odd_subgroup(gens, p: int) -> set[tuple[int, int]]:
     group = {(0, 0)}
     for g in gens:
         gp = _odd_class_pair(g, p)
-        group |= {((gp[0] + h[0]) % 2, (gp[1] + h[1]) % 2) for h in group}
+        group |= {(gp[0] ^ h[0], gp[1] ^ h[1]) for h in group}
     return group
 
 
 def _odd_class_rep(pair: tuple[int, int], p: int) -> int:
-    u = _odd_nonresidue(p)
-    return {(0, 0): 1, (0, 1): u, (1, 0): p, (1, 1): p * u}[pair]
+    v, chi = pair
+    rep = p if v else 1
+    return rep * _odd_nonresidue(p) if chi else rep
 
 
-_ODD_PAIR_ORDER = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+def _class_rep(pair: tuple[int, int], E: LocalField) -> int:
+    """Canonical representative in E (finite base) of the base class with
+    this pair: the least member, in the fixed order, of its coset modulo the
+    Kummer subgroup of the adjoined square roots."""
+    p = E.base.p
+    if p == 2:
+        v, u = pair
+        c = u * 2 if v else u
+        coset = [dyadic_class(c * h) for h in dyadic_subgroup(E.gens)]
+        return min(coset, key=_DYADIC_ORDER.__getitem__)
+    coset = [(pair[0] ^ h[0], pair[1] ^ h[1]) for h in _odd_subgroup(E.gens, p)]
+    return _odd_class_rep(min(coset), p)
 
 
 def local_square_class(a: Rat, E: LocalField) -> int:
@@ -167,18 +195,33 @@ def local_square_class(a: Rat, E: LocalField) -> int:
     if E.is_real:
         return 1 if a > 0 else -1
     p = E.base.p
-    if p == 2:
-        c = dyadic_class(a)
-        coset = [dyadic_class(c * h) for h in dyadic_subgroup(E.gens)]
-        return min(coset, key=_DYADIC_ORDER.__getitem__)
-    pair = _odd_class_pair(a, p)
-    coset = [((pair[0] + h[0]) % 2, (pair[1] + h[1]) % 2) for h in _odd_subgroup(E.gens, p)]
-    best = min(coset, key=_ODD_PAIR_ORDER.__getitem__)
-    return _odd_class_rep(best, p)
+    return _class_rep(_dyadic_pair(a) if p == 2 else _odd_class_pair(a, p), E)
 
 
 # ----------------------------------------------------------------------
 # Hilbert symbols.
+#
+# Over Q_p a symbol is (-1)^t, with t a bit formula on the class pairs of
+# its arguments: the tame formula for p odd, Serre's formula for p = 2
+# (Serre, A Course in Arithmetic, III.1.2).  `hilbert_symbol` and
+# `form_class_at` both evaluate symbols through these two helpers.
+
+
+def _tame_exponent(alpha: int, chi_u: int, beta: int, chi_w: int, eps: int) -> int:
+    """t with (a, b)_p = (-1)^t, p odd, from the class pairs (alpha, chi_u)
+    and (beta, chi_w) of a = p^alpha u and b = p^beta w, where
+    (u|p) = (-1)^chi_u: the tame formula
+    (-1)^(alpha beta eps) (u|p)^beta (w|p)^alpha with eps = (p - 1)/2 mod 2."""
+    return (alpha & beta & eps) ^ (chi_u & beta) ^ (chi_w & alpha)
+
+
+def _serre_exponent(alpha: int, u: int, beta: int, w: int) -> int:
+    """t with (a, b)_2 = (-1)^t from the class pairs (alpha, u mod 8) and
+    (beta, w mod 8) of a = 2^alpha u and b = 2^beta w: Serre's formula
+    t = eps(u) eps(w) + alpha omega(w) + beta omega(u) mod 2, with
+    eps(x) = (x - 1)/2 and omega(x) = (x^2 - 1)/8."""
+    t = (u - 1) // 2 * ((w - 1) // 2) + alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
+    return t % 2
 
 
 def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
@@ -188,8 +231,8 @@ def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
     For rational a, b and a completion E of degree n over Q_v, norm
     compatibility gives (a, b)_E = (a, N b)_{Q_v} = (a, b)_{Q_v}^n, so every
     even-degree completion gives +1.  Over Q_v: the sign rule at the real
-    place, the tame formula for p odd and Serre's formula for p = 2, with
-    a = p^alpha u and b = p^beta w for units u, w.
+    place, the tame formula for p odd and Serre's formula for p = 2, on the
+    class pairs of a and b.
     """
     if a == 0 or b == 0:
         raise DomainError("hilbert symbol of 0")
@@ -198,21 +241,11 @@ def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
     if E.is_real:
         return -1 if a < 0 and b < 0 else 1
     p = E.base.p
-    alpha, u = _valuation_unit(p, a)
-    beta, w = _valuation_unit(p, b)
-    alpha, beta = alpha % 2, beta % 2
     if p == 2:
-        # (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)) with
-        # eps(x) = (x - 1)/2 and omega(x) = (x^2 - 1)/8 mod 2.
-        u, w = u % 8, w % 8
-        eps_u, eps_w = (u - 1) // 2, (w - 1) // 2
-        omega_u, omega_w = (u * u - 1) // 8, (w * w - 1) // 8
-        t = eps_u * eps_w + alpha * omega_w + beta * omega_u
-        return -1 if t % 2 else 1
-    # (-1)^(alpha beta (p-1)/2) (u|p)^beta (w|p)^alpha.
-    if not (alpha or beta):
-        return 1
-    return legendre((-1) ** (alpha * beta) * u ** beta * w ** alpha, p)
+        t = _serre_exponent(*_dyadic_pair(a), *_dyadic_pair(b))
+    else:
+        t = _tame_exponent(*_odd_class_pair(a, p), *_odd_class_pair(b, p), (p - 1) // 2 % 2)
+    return -1 if t else 1
 
 
 def _symbol_split_at(a: Rat, b: Rat, primes) -> bool:
@@ -221,14 +254,71 @@ def _symbol_split_at(a: Rat, b: Rat, primes) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Anisotropic dimension from local invariants.
+# Local form classes and anisotropic dimension.
+
+
+def form_class_at(entries: tuple[int, ...], E: LocalField) -> LocalFormClass:
+    """Local invariants of the diagonal form with the given nonzero integer
+    entries over E.
+
+    At a finite place each entry is mapped once to its class pair, and the
+    pairs are multiplied into a prefix class.  Over Q_p the Hasse invariant
+    prod_{i<j} (a_i, a_j) is evaluated by bilinearity as
+    prod_j (a_1...a_{j-1}, a_j), each factor by the tame or Serre formula on
+    the prefix pair and the pair of a_j: bit arithmetic, no Hilbert-symbol
+    calls and no factoring.  Over an even-degree completion every such
+    symbol is +1, so the Hasse invariant is +1 and only the classes are
+    multiplied.  The final prefix, times the sign (-1)^(n(n-1)/2) and reduced
+    modulo the adjoined square roots, gives the discriminant."""
+    n = len(entries)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    if E.is_real:
+        negs = sum(1 for a in entries if a < 0)
+        sig = n - 2 * negs
+        h = -1 if (negs * (negs - 1) // 2) % 2 else 1
+        return LocalFormClass(n, -sign if negs % 2 else sign, h, sig)
+    if E.is_complex:
+        return LocalFormClass(n, 1, 1, None)
+    p = E.base.p
+    symbols = E.degree % 2
+    t = 0
+    if p == 2:
+        pv, pu = 0, 1
+        for a in entries:
+            v, u = _dyadic_pair(a)
+            if symbols:
+                t ^= _serre_exponent(pv, pu, v, u)
+            pv, pu = pv ^ v, pu * u % 8
+        pu = pu * sign % 8
+    else:
+        eps = (p - 1) // 2 % 2
+        pv = pu = 0
+        for a in entries:
+            v, u = _odd_class_pair(a, p)
+            if symbols:
+                t ^= _tame_exponent(pv, pu, v, u, eps)
+            pv, pu = pv ^ v, pu ^ u
+        if sign < 0:
+            pu ^= eps  # -1 has the pair (0, eps)
+    return LocalFormClass(n, _class_rep((pv, pu), E), -1 if t else 1, None)
+
+
+def _plane_factors(d: Rat, E: LocalField) -> tuple[int, int]:
+    """The factor the Hasse invariant of a form with discriminant d picks up
+    when a hyperbolic plane is split off, leaving m dimensions: (P, -1)_E for
+    the entry product P = (-1)^(m(m-1)/2) d of the remainder.  It takes two
+    values, ((d, -1)_E, (-d, -1)_E), indexed by m(m-1)/2 mod 2; both are
+    evaluated once."""
+    return hilbert_symbol(d, -1, E), hilbert_symbol(-d, -1, E)
 
 
 def local_aniso_dim(c: LocalFormClass, E: LocalField) -> int:
     """Dimension of the anisotropic kernel of any form with these invariants
-    over E, by the standard p-adic classification (descent on the invariant
-    tuple; dim >= 5 always isotropic, dim 4 anisotropic iff trivial
-    discriminant and anti-hyperbolic Hasse invariant)."""
+    over E, by the standard p-adic classification: descent on the invariant
+    tuple two dimensions at a time; dim >= 5 is always isotropic, dim 4 is
+    anisotropic iff the discriminant is trivial and the Hasse invariant is
+    -(-1, -1)_E, dim 3 iff the Hasse invariant is -(d, -1)_E.  Over a finite
+    place it evaluates at most the two symbols of `_plane_factors`."""
     if c.dim < 0 or c.hasse not in (1, -1):
         raise DomainError(f"invalid local form class {c}")
     if E.is_complex:
@@ -239,45 +329,16 @@ def local_aniso_dim(c: LocalFormClass, E: LocalField) -> int:
         return abs(c.signature)
     n, d, s = c.dim, c.disc, c.hasse
     trivial = d == 1
-    while True:
-        if n <= 0:
-            return 0
-        if n == 1:
-            return 1
-        if n == 2:
-            return 0 if trivial else 2
-        if n == 3 and s == -hilbert_symbol(d, -1, E):
+    if n > 2:
+        # With d = 1 the second factor is (-1, -1)_E.
+        factors = _plane_factors(d, E)
+    while n > 2:
+        if n == 3 and s == -factors[0]:
             return 3
-        if n == 4 and trivial and s == -hilbert_symbol(-1, -1, E):
+        if n == 4 and trivial and s == -factors[1]:
             return 4
-        # Split off a hyperbolic plane: disc is stable, the Hasse invariant
-        # picks up (P, -1) where P is the entry product of the smaller form.
-        m = n - 2
-        prod_rep = d if (m * (m - 1) // 2) % 2 == 0 else -d
-        s *= hilbert_symbol(prod_rep, -1, E)
-        n = m
-
-
-def form_class_at(entries: tuple[int, ...], E: LocalField) -> LocalFormClass:
-    """Local invariants of the diagonal form with the given nonzero integer
-    entries over E.
-
-    Over Q_p and its extensions the Hasse invariant prod_{i<j} (a_i, a_j) is
-    evaluated by bilinearity as prod_j (a_1...a_{j-1}, a_j): n - 1 symbols,
-    with the prefix product carried as a square class by gcd cancellation
-    (no factorization).  The final prefix gives the discriminant."""
-    n = len(entries)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    if E.is_real:
-        negs = sum(1 for a in entries if a < 0)
-        sig = n - 2 * negs
-        h = -1 if (negs * (negs - 1) // 2) % 2 else 1
-        return LocalFormClass(n, -sign if negs % 2 else sign, h, sig)
-    if E.is_complex:
-        return LocalFormClass(n, 1, 1, None)
-    h = 1
-    prefix = entries[0] if n else 1
-    for a in entries[1:]:
-        h *= hilbert_symbol(prefix, a, E)
-        prefix = _class_product(prefix, a)
-    return LocalFormClass(n, local_square_class(sign * prefix, E), h, None)
+        n -= 2
+        s *= factors[n * (n - 1) // 2 % 2]
+    if n == 2:
+        return 0 if trivial else 2
+    return n

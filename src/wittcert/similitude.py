@@ -14,7 +14,6 @@ memoises nothing, so no verdict of the search is reused.
 from __future__ import annotations
 
 import heapq
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,8 +48,6 @@ from .involutions import InvolutionAlgebra, QuaternionAlg, degree_index, involut
 DEFAULT_BOUND = 10**6
 _MAX_FACTORS = 4
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-logger = logging.getLogger("wittcert")
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +230,10 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
             return _certificate(phi, make_tower([d]), c)
     # The hypotheses guarantee a certificate exists, so exhaustion means the
     # bound is too small or there is an engine defect; never accept silently.
-    logger.warning(
+    # logging is imported here, on the only path that uses it.
+    import logging
+
+    logging.getLogger("wittcert").warning(
         "certificate search exhausted (stage quadratic, bound %d) on a hypothesis-"
         "satisfying instance: dim %d form, multiplier %d; this indicates a "
         "too-small bound or an engine defect", bound, phi.dim, c_sf)

@@ -13,9 +13,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from wittcert.arith import prime_support, squarefree_rep
+from wittcert.arith import _class_product, _valuation_unit, legendre, prime_support, squarefree_rep
 from wittcert.extensions import TRIVIAL_TOWER, hyperbolicity_evidence, is_hyperbolic_over, make_tower
 from wittcert.forms import is_hyperbolic, is_isometric, pfister, qform, represents, scale, tensor
+from wittcert.localfields import LocalFormClass, local_square_class
 from wittcert.similitude import _MAX_FACTORS, _SMALL_PRIMES, HypCertificate, SearchExhausted, lemma_beta_search
 
 
@@ -361,3 +362,52 @@ def lemma24_by_search(pi, psi, c, bound):
         if not M.downgraded and M.degree == 4 and is_hyperbolic_over(phi, M):
             return certificate(M)
     return SearchExhausted(bound, "biquadratic")
+
+
+# ----------------------------------------------------------------------
+# Local invariants symbol by symbol, as the engine computed them before
+# its class-pair kernel.
+
+
+def hilbert_symbol_closed_form(a, b, E) -> int:
+    """(a, b)_E from the valuations and units of a and b: +1 over an
+    even-degree completion, the sign rule over R, the tame formula
+    (-1)^(alpha beta (p-1)/2) (u|p)^beta (w|p)^alpha for p odd and Serre's
+    formula for p = 2, with a = p^alpha u and b = p^beta w."""
+    if E.degree % 2 == 0:
+        return 1
+    if E.is_real:
+        return -1 if a < 0 and b < 0 else 1
+    p = E.base.p
+    alpha, u = _valuation_unit(p, Fraction(a))
+    beta, w = _valuation_unit(p, Fraction(b))
+    alpha, beta = alpha % 2, beta % 2
+    if p == 2:
+        u, w = u % 8, w % 8
+        eps_u, eps_w = (u - 1) // 2, (w - 1) // 2
+        omega_u, omega_w = (u * u - 1) // 8, (w * w - 1) // 8
+        t = eps_u * eps_w + alpha * omega_w + beta * omega_u
+        return -1 if t % 2 else 1
+    if not (alpha or beta):
+        return 1
+    return legendre((-1) ** (alpha * beta) * u ** beta * w ** alpha, p)
+
+
+def form_class_by_symbols(entries, E) -> LocalFormClass:
+    """Local invariants with n - 1 Hilbert symbols: the Hasse invariant as
+    prod_j (a_1...a_{j-1}, a_j) with the prefix carried by gcd products,
+    the discriminant from the square class of the final prefix."""
+    n = len(entries)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    if E.is_real:
+        negs = sum(1 for a in entries if a < 0)
+        h = -1 if (negs * (negs - 1) // 2) % 2 else 1
+        return LocalFormClass(n, -sign if negs % 2 else sign, h, n - 2 * negs)
+    if E.is_complex:
+        return LocalFormClass(n, 1, 1, None)
+    h = 1
+    prefix = entries[0] if n else 1
+    for a in entries[1:]:
+        h *= hilbert_symbol_closed_form(prefix, a, E)
+        prefix = _class_product(prefix, a)
+    return LocalFormClass(n, local_square_class(sign * prefix, E), h, None)

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from wittcert.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -190,3 +198,35 @@ class TestCliContract:
         monkeypatch.setenv("WITTCERT_SEARCH_BOUND", "2")
         code, out = run_json(capsys, "lemma-beta", '{"form":{"diag":[1,1,1,1]},"a":3}')
         assert code == 0 and out == {"d": -2}
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def nested_tensor(depth: int) -> str:
+    payload = '{"diag":[1,-1]}'
+    for _ in range(depth):
+        payload = '{"tensor":[' + payload + ']}'
+    return payload
+
+
+class TestProcess:
+    def test_shallow_nesting_is_decided(self):
+        proc = run_process("-m", "wittcert.cli", "isotropic", nested_tensor(100))
+        assert proc.returncode == 0 and json.loads(proc.stdout) == {"isotropic": True}
+
+    @pytest.mark.parametrize("depth", [495, 1200])
+    def test_deep_nesting_is_malformed_input(self, depth):
+        proc = run_process("-m", "wittcert.cli", "isotropic", nested_tensor(depth))
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {"error": "malformed-input",
+                                           "detail": "payload nests too deeply to decode"}
+        assert "Traceback" not in proc.stderr
+
+    def test_import_leaves_logging_unloaded(self):
+        proc = run_process("-c", "import sys, wittcert.cli; print('logging' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"

@@ -1,16 +1,17 @@
-"""Local invariants from one factorization per entry: the prefix-product
-Hasse invariant, gcd products of square classes, the prime support a form
-carries, the Arason-Pfister guard's I^4 test, and the sizes of the integers
-the engine factorizes."""
+"""Local invariants from one factorization per entry: the class-pair
+kernel of `form_class_at` and its symbol formulas, gcd products of square
+classes, the prime support a form carries, the Arason-Pfister guard's I^4
+test, and the sizes of the integers the engine factorizes."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import form_class_by_symbols, hilbert_symbol_closed_form
 from wittcert import arith, codecs, forms
 from wittcert.arith import _class_product, prime_support, squarefree_rep
-from wittcert.extensions import aniso_dim_over, make_tower
+from wittcert.extensions import aniso_dim_over, make_tower, places_over
 from wittcert.forms import (
     QForm,
     in_In,
@@ -25,11 +26,18 @@ from wittcert.forms import (
 )
 from wittcert.involutions import quaternion
 from wittcert.localfields import (
+    DYADIC_CLASSES,
     REAL,
     LocalField,
     Place,
+    _dyadic_pair,
+    _odd_class_pair,
+    _odd_class_rep,
+    _serre_exponent,
+    _tame_exponent,
     form_class_at,
     hilbert_symbol,
+    local_aniso_dim,
     local_square_class,
     rationals_at,
 )
@@ -66,16 +74,96 @@ class TestPrefixHasse:
         assert (cls.disc, cls.hasse) == all_pairs_class(es, E)
         assert cls.dim == len(es)
 
-    def test_symbols_per_finite_class(self, monkeypatch):
+    def test_symbol_calls_per_local_decision(self, monkeypatch):
+        # form_class_at works on class pairs alone; local_aniso_dim needs
+        # at most the two descent symbols.
         import wittcert.localfields as lf
 
         calls = []
         original = lf.hilbert_symbol
         monkeypatch.setattr(lf, "hilbert_symbol", lambda *a: calls.append(a) or original(*a))
-        for n in (0, 1, 2, 24):
-            calls.clear()
-            form_class_at(tuple(range(1, n + 1)), rationals_at(Place(2)))
-            assert len(calls) == max(n - 1, 0)
+        rng = random.Random(8)
+        for E in FIELDS + completions(rng, 30):
+            for n in (0, 1, 2, 3, 4, 5, 8, 24):
+                es = tuple(rng.choice([-1, 1]) * rng.randint(1, 10**4) for _ in range(n))
+                calls.clear()
+                cls = form_class_at(es, E)
+                assert calls == [], (str(E), es)
+                local_aniso_dim(cls, E)
+                assert len(calls) <= 3, (str(E), es)
+
+
+def completions(rng, towers):
+    """Every distinct completion that `places_over` yields for random towers
+    of degree 2 and 4, at the real place, 2, 3, 5, 7 and the primes of the
+    generators."""
+    out = {}
+    for _ in range(towers):
+        M = make_tower([squarefree_rep(rng.choice([-1, 1]) * rng.randint(2, 60))
+                        for _ in range(rng.randint(1, 2))])
+        for v in [REAL] + [Place(p) for p in sorted(prime_support(M.generators) | {3, 5, 7})]:
+            for E, _mult in places_over(M, v).completions:
+                out[E] = None
+    return list(out)
+
+
+class TestClassKernel:
+    """The class-pair kernel against the symbol-by-symbol computation it
+    replaced and against the all-pairs definition."""
+
+    def test_every_completion_kind(self):
+        rng = random.Random(88)
+        fields = FIELDS + completions(rng, 60)
+        kinds = {("real" if E.base.is_real else "dyadic" if E.base.p == 2 else "odd", E.degree, E.e)
+                 for E in fields}
+        # R and C; over Q_2 and Q_p the base, ramified and unramified
+        # quadratic, and biquadratic completions (totally ramified only at 2).
+        assert kinds == {("real", 1, 1), ("real", 2, 1),
+                         ("dyadic", 1, 1), ("dyadic", 2, 2), ("dyadic", 2, 1),
+                         ("dyadic", 4, 2), ("dyadic", 4, 4),
+                         ("odd", 1, 1), ("odd", 2, 2), ("odd", 2, 1), ("odd", 4, 2)}
+        for E in fields:
+            for _ in range(40):
+                n = rng.choice([0, 1, 2, 3, 4, 5, 6, 8, 12, 24])
+                es = tuple(rng.choice([-1, 1]) * rng.choice([rng.randint(1, 200), rng.randint(1, 10**6)])
+                           for _ in range(n))
+                cls = form_class_at(es, E)
+                assert cls == form_class_by_symbols(es, E), (str(E), es)
+                assert (cls.disc, cls.hasse) == all_pairs_class(es, E), (str(E), es)
+
+
+ODD_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+class TestClassSymbols:
+    """The class-level symbol formulas against the closed form written on
+    valuations and units, on every pair of square classes."""
+
+    def test_serre_formula_on_all_dyadic_class_pairs(self):
+        Q2 = rationals_at(Place(2))
+        pairs = {a: _dyadic_pair(a) for a in DYADIC_CLASSES}
+        assert len(set(pairs.values())) == 8
+        for a, x in pairs.items():
+            for b, y in pairs.items():
+                expected = hilbert_symbol_closed_form(a, b, Q2)
+                assert (-1) ** _serre_exponent(*x, *y) == expected, (a, b)
+                assert hilbert_symbol(a, b, Q2) == expected
+                # Another representative of each class: times 4 and 9.
+                assert _dyadic_pair(4 * a) == x and _dyadic_pair(9 * b) == y
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 10007, 10009])
+    def test_tame_formula_on_all_odd_class_pairs(self, p):
+        E = rationals_at(Place(p))
+        eps = (p - 1) // 2 % 2
+        reps = {pair: _odd_class_rep(pair, p) for pair in ODD_PAIRS}
+        assert [_odd_class_pair(a, p) for a in reps.values()] == ODD_PAIRS
+        for x, a in reps.items():
+            for y, b in reps.items():
+                expected = hilbert_symbol_closed_form(a, b, E)
+                assert (-1) ** _tame_exponent(*x, *y, eps) == expected, (a, b)
+                assert hilbert_symbol(a, b, E) == expected
+                # Another representative of each class: times p^2 and 4.
+                assert _odd_class_pair(a * p * p, p) == x and _odd_class_pair(4 * b, p) == y
 
 
 class TestClassProduct:

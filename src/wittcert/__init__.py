@@ -20,7 +20,6 @@ from .localfields import (
     rationals_at,
 )
 from .forms import (
-    ARASON_PFISTER_CHECK,
     HYPERBOLIC_PLANE,
     InvariantViolation,
     QForm,

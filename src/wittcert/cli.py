@@ -27,19 +27,9 @@ from .extensions import (
     norm_member_tower,
     witt_index_over,
 )
-from .forms import (
-    disc,
-    hasse_invariant,
-    in_G,
-    in_In,
-    is_hyperbolic,
-    is_isometric,
-    is_isotropic,
-    relevant_places,
-    signature,
-    witt_decompose,
-)
+from .forms import disc, in_G, in_In, is_isometric, is_isotropic, signature, witt_decompose
 from .involutions import degree_index, involution_discriminant, is_split, norm_form, reduce_to_form
+from .localfields import completions, form_class_at
 from .similitude import (
     DEFAULT_BOUND,
     SearchExhausted,
@@ -69,14 +59,14 @@ def _form_invariants(phi, trace: bool) -> dict:
         "signature": signature(phi),
         "hasse_minus_places": sorted(
             (str(v) for v in cls.hasse_minus_places), key=_place_sort),
-        "isotropic": is_isotropic(phi),
+        "isotropic": w > 0,
         "witt_index": w,
         "aniso_dim": aniso,
     }
     if trace:
         out["hasse"] = [
-            {"place": str(v), "value": hasse_invariant(phi, v)}
-            for v in relevant_places(phi)
+            {"place": str(v), "value": form_class_at(phi.entries, E).hasse}
+            for v, E, _ in completions(phi.support)
         ]
     return out
 
@@ -122,7 +112,7 @@ def _run_verb(verb: str, payload, opts) -> dict:
             phi = codecs.parse_form(payload)
         w, aniso, cls = witt_decompose(phi)
         return {"witt_index": w, "aniso_dim": aniso,
-                "hyperbolic": is_hyperbolic(phi),
+                "hyperbolic": aniso == 0,
                 "aniso_class": {
                     "dim_parity": cls.dim_parity,
                     "disc": cls.disc,
@@ -147,7 +137,9 @@ def _run_verb(verb: str, payload, opts) -> dict:
 
     if verb == "in-in":
         phi = codecs.parse_form(payload["form"])
-        n = int(payload["n"])
+        n = payload["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ParseError(f"n must be an integer: {n!r}")
         return {"n": n, "in_in": in_In(phi, n)}
 
     if verb == "quaternion":
@@ -220,7 +212,7 @@ def _run_verb(verb: str, payload, opts) -> dict:
         if "tower" in payload:
             tower = codecs.parse_tower({"tower": payload["tower"]})
             return {"member": norm_member_tower(c, tower)}
-        return {"member": norm_member(c, int(payload["d"]))}
+        return {"member": norm_member(c, codecs.parse_rat(payload["d"]))}
 
     raise DomainError(f"unknown verb {verb!r}")
 

@@ -119,7 +119,7 @@ def parse_tower(obj) -> ExtensionTower:
     if isinstance(obj, str):
         return parse_tower_text(obj)
     if isinstance(obj, dict) and set(obj) == {"tower"}:
-        return make_tower([int(parse_rat(x)) for x in obj["tower"]])
+        return make_tower([parse_rat(x) for x in obj["tower"]])
     raise ParseError(f"unrecognised tower descriptor: {obj!r}")
 
 
@@ -137,7 +137,7 @@ def dump_tower(M: ExtensionTower) -> dict:
 
 def parse_quaternion(obj) -> QuaternionAlg:
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return quaternion(int(parse_rat(obj[0])), int(parse_rat(obj[1])))
+        return quaternion(parse_rat(obj[0]), parse_rat(obj[1]))
     if isinstance(obj, dict) and set(obj) == {"quaternion"}:
         return parse_quaternion(obj["quaternion"])
     raise ParseError(f"unrecognised quaternion descriptor: {obj!r}")
@@ -192,10 +192,10 @@ def parse_certificate(obj) -> HypCertificate:
     if not isinstance(obj, dict) or obj.get("schema") != CERTIFICATE_SCHEMA:
         raise ParseError("certificate payload must carry schema "
                           f"{CERTIFICATE_SCHEMA!r}")
-    tower = make_tower(obj["tower"]["generators"])
+    tower = make_tower([parse_rat(g) for g in obj["tower"]["generators"]])
     # Evidence is advisory for verification: conclusions are recomputed.
     return HypCertificate(
-        multiplier=int(parse_rat(obj["multiplier"])),
+        multiplier=parse_rat(obj["multiplier"]),
         tower=tower,
         square_adjustment=parse_rat(obj.get("square_adjustment", 1)),
         evidence=(),

@@ -7,7 +7,10 @@ hyperbolic iff it is hyperbolic at every completion.  Two global ingredients
 keep the place set finite: the discriminant must be a square in M, which for
 a rational discriminant is the Kummer condition "class lies in the subgroup
 generated by the tower generators"; given that, every place outside the prime
-support of (entries + generators, 2, real) is automatically split.
+support of (entries + generators, 2, real) is automatically split.  The
+completions at those places, and the fiber rule that gives them, come from
+`localfields.completions`; `hyperbolicity_evidence` holds one local verdict
+per completion, and `aniso_dim_over` is their maximum with the Kummer bound.
 
 Norm membership in a quadratic extension is Hasse's norm theorem: a Hilbert
 symbol at 2, at the primes of the two classes and at the real place.  For
@@ -22,16 +25,13 @@ from fractions import Fraction
 
 from .arith import DomainError, Rat, _class_product, _is_rational_square, _squarefree_part, squarefree_rep
 from .localfields import (
-    REAL,
     LocalField,
     Place,
-    _odd_class_rep,
-    _odd_subgroup,
     _symbol_split_at,
-    dyadic_subgroup,
+    completion_over,
+    completions,
     form_class_at,
     local_aniso_dim,
-    rationals_at,
 )
 from . import forms
 from .forms import QForm
@@ -101,35 +101,8 @@ TRIVIAL_TOWER = ExtensionTower(())
 
 
 def places_over(M: ExtensionTower, v: Place) -> PlaceFiber:
-    """Splitting of v in M, determined by the local square classes of the
-    generators: locally-square generators split the fiber, the others cut out
-    a quadratic or biquadratic completion with the matching e and f."""
-    if v.is_real:
-        if any(g < 0 for g in M.generators):
-            return PlaceFiber(v, ((LocalField(REAL, (-1,)), M.degree // 2),))
-        return PlaceFiber(v, ((LocalField(REAL), M.degree),))
-    p = v.p
-    base = rationals_at(v)
-    if p == 2:
-        sub = dyadic_subgroup(M.generators)
-        classes = sorted(sub - {1})
-        if not classes:
-            return PlaceFiber(v, ((base, M.degree),))
-        f = 2 if 5 in sub else 1
-        e = len(sub) // f
-        gens = tuple(classes[:1] if len(sub) == 2 else classes[:2])
-        E = LocalField(v, gens, e, f)
-        return PlaceFiber(v, ((E, M.degree // (e * f)),))
-    # Odd prime: classes as (valuation parity, nonresidue bit).
-    pairs = _odd_subgroup(M.generators, p)
-    if len(pairs) == 1:
-        return PlaceFiber(v, ((base, M.degree),))
-    e = 2 if any(h[0] for h in pairs) else 1
-    f = len(pairs) // e
-    reps = sorted(_odd_class_rep(h, p) for h in pairs if h != (0, 0))
-    gens = tuple(reps[:1] if len(pairs) == 2 else reps[:2])
-    E = LocalField(v, gens, e, f)
-    return PlaceFiber(v, ((E, M.degree // (e * f)),))
+    """Splitting of v in M, by the fiber rule of `completion_over`."""
+    return PlaceFiber(v, (completion_over(v, M.generators),))
 
 
 # ----------------------------------------------------------------------
@@ -139,24 +112,16 @@ def places_over(M: ExtensionTower, v: Place) -> PlaceFiber:
 def aniso_dim_over(phi: QForm, M: ExtensionTower) -> int:
     """Dimension of the anisotropic kernel of phi over M.
 
-    Computed as the maximum of the local anisotropic dimensions over all
-    completions at relevant places, together with the global Kummer
-    discriminant bound: an even-dimensional form whose discriminant is not a
-    square in M has anisotropic dimension at least 2, and such a failure can
-    hide at places outside the prime support.
+    The maximum of the local anisotropic dimensions in
+    `hyperbolicity_evidence` and the global Kummer discriminant bound: an
+    even-dimensional form whose discriminant is not a square in M has
+    anisotropic dimension at least 2, and such a failure can hide at places
+    outside the prime support.
     """
-    n = phi.dim
-    if n == 0:
-        return 0
-    lower = n % 2
-    if n % 2 == 0 and disc_in_tower(forms.disc(phi), M) is False:
+    lower = phi.dim % 2
+    if lower == 0 and not disc_in_tower(forms.disc(phi), M):
         lower = 2
-    for v in forms.relevant_places(phi, M.generators):
-        fiber = places_over(M, v)
-        for E, _mult in fiber.completions:
-            cls = form_class_at(phi.entries, E)
-            lower = max(lower, local_aniso_dim(cls, E))
-    return lower
+    return max(lower, *(ev.aniso_dim for ev in hyperbolicity_evidence(phi, M)))
 
 
 def disc_in_tower(d: Rat, M: ExtensionTower) -> bool:
@@ -191,14 +156,10 @@ class PlaceEvidence:
 
 
 def hyperbolicity_evidence(phi: QForm, M: ExtensionTower) -> list[PlaceEvidence]:
-    """Per-completion anisotropic dimensions at every relevant place."""
-    out = []
-    for v in forms.relevant_places(phi, M.generators):
-        fiber = places_over(M, v)
-        for E, mult in fiber.completions:
-            cls = form_class_at(phi.entries, E)
-            out.append(PlaceEvidence(v, E, mult, local_aniso_dim(cls, E)))
-    return out
+    """The anisotropic dimension of phi over each completion of M that the
+    walk yields, from one local class per completion."""
+    return [PlaceEvidence(v, E, mult, local_aniso_dim(form_class_at(phi.entries, E), E))
+            for v, E, mult in completions(phi.support, M.generators)]
 
 
 # ----------------------------------------------------------------------

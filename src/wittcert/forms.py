@@ -5,11 +5,15 @@ similarity-factor tests.
 Forms are identified with diagonal representatives over square classes;
 isometry is decided by the complete invariant set (dimension, discriminant,
 signature, Hasse invariants at all places), which classifies forms over Q.
-Membership in I^3 and I^4 is decided by the standard exact criterion for the
-rational Witt ring: even dimension, trivial discriminant, split Hasse data at
-the finite places and signature divisible by 8 resp. 16.  (High powers of the
-fundamental ideal are torsion-free over Q; this classical fact is trusted
-here, everything else is recomputed.)
+Each decision takes its local classes from the walk
+`localfields.completions` over the real place, 2 and the primes of the form,
+one class per completion; isotropy stops at the first obstructing place.
+Membership in I^n is decided by one exact criterion for the rational Witt
+ring, shared by `in_In` and the Arason-Pfister guard of `witt_decompose`:
+even dimension, trivial discriminant, split Hasse data at the finite places
+and signature divisible by 8 resp. 16.  (High powers of the fundamental
+ideal are torsion-free over Q; this classical fact is trusted here,
+everything else is recomputed.)
 
 The zero-dimensional form is admitted internally as the empty orthogonal sum
 (hyperbolic by convention) so that Witt arithmetic is total.
@@ -20,23 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import DomainError, Rat, _class_product, _squarefree_part, prime_support
+from .arith import DomainError, Rat, _class_product, _squarefree_part
 from .localfields import (
     REAL,
-    LocalField,
-    LocalFormClass,
     Place,
     _plane_factors,
     _symbol_split_at,
+    completions,
     form_class_at,
     hilbert_symbol,
     local_aniso_dim,
     rationals_at,
 )
 
-# Arason-Pfister runtime check: a form in I^4 may never have anisotropic
-# dimension strictly between 0 and 16.  Toggled off only for experiments.
-ARASON_PFISTER_CHECK = True
+# Arason-Pfister runtime check, armed on every Witt decomposition: a form in
+# I^4 may never have anisotropic dimension strictly between 0 and 16.
 _ap_violations = 0
 
 
@@ -142,66 +144,45 @@ def hasse_invariant(phi: QForm, v: Place) -> int:
     return form_class_at(phi.entries, rationals_at(v)).hasse
 
 
-def relevant_places(phi: QForm, extra=()) -> list[Place]:
-    """Real place, 2, and all primes dividing an entry (or an extra element);
-    outside this set every local invariant is automatically split."""
-    primes = phi.support | prime_support(x for x in extra if x)
-    return [REAL] + [Place(p) for p in sorted(primes)]
-
-
 # ----------------------------------------------------------------------
 # Isotropy and Witt decomposition.
 
 
-def _local_aniso_dims(phi: QForm) -> dict[Place, int]:
-    out = {}
-    for v in relevant_places(phi):
-        E = rationals_at(v)
-        out[v] = local_aniso_dim(form_class_at(phi.entries, E), E)
-    return out
+def isotropy_obstruction(phi: QForm) -> Place | None:
+    """The first place of the walk where the form is locally anisotropic,
+    if any.  Forms of dimension 0 and 1 are anisotropic at the real place."""
+    for v, E, _ in completions(phi.support):
+        if local_aniso_dim(form_class_at(phi.entries, E), E) == phi.dim:
+            return v
+    return None
 
 
 def is_isotropic(phi: QForm) -> bool:
     """Hasse-Minkowski: isotropic over Q iff isotropic at every completion."""
-    if phi.dim <= 1:
-        return False
-    return all(d < phi.dim for d in _local_aniso_dims(phi).values())
-
-
-def isotropy_obstruction(phi: QForm) -> Place | None:
-    """A place where the form is locally anisotropic, if any."""
-    for v, d in _local_aniso_dims(phi).items():
-        if d == phi.dim:
-            return v
-    return None
+    return isotropy_obstruction(phi) is None
 
 
 def witt_decompose(phi: QForm) -> tuple[int, int, WittClassQ]:
     """(witt_index, aniso_dim, aniso_class): phi = (anisotropic kernel) + witt_index x H.
 
-    The anisotropic dimension is the largest local anisotropic dimension over
-    all relevant places (iterated Hasse-Minkowski); the Hasse data of the
-    kernel is obtained by descending the invariant tuple two dimensions at a
-    time.
+    The anisotropic dimension is the largest local anisotropic dimension
+    (iterated Hasse-Minkowski): |signature| at the real place, and at each
+    finite place of the walk the dimension read off the one local class
+    computed there.  The Hasse data of the kernel is obtained by descending
+    that class two dimensions at a time, and the Arason-Pfister guard reads
+    the same classes.
     """
     n = phi.dim
     d = disc(phi)
     sig = signature(phi)
-    places = relevant_places(phi)
-    local = {}
-    for v in places:
-        E = rationals_at(v)
-        local[v] = (form_class_at(phi.entries, E), E)
-    aniso = abs(sig)
-    for v, (cls, E) in local.items():
-        aniso = max(aniso, local_aniso_dim(cls, E))
+    local = [(v, E, form_class_at(phi.entries, E))
+             for v, E, _ in completions(phi.support) if not v.is_real]
+    aniso = max([abs(sig)] + [local_aniso_dim(cls, E) for _, E, cls in local])
     witt_index = (n - aniso) // 2
     # Hasse data of the anisotropic representative, by the descent law
     # s_small = s_big * ((-1)^(m(m-1)/2) d, -1) at each step down.
     minus = set()
-    for v, (cls, E) in local.items():
-        if v.is_real:
-            continue
+    for v, E, cls in local:
         s, m = cls.hasse, n
         if m > aniso:
             factors = _plane_factors(d, E)
@@ -214,7 +195,7 @@ def witt_decompose(phi: QForm) -> tuple[int, int, WittClassQ]:
     if (negs * (negs - 1) // 2) % 2:
         minus.add(REAL)
     cls = WittClassQ(aniso % 2, d if aniso else 1, frozenset(minus), sig)
-    if ARASON_PFISTER_CHECK and _local_in_I4(n, d, sig, local) and 0 < aniso < 16:
+    if _in_I(4, n, d, sig, ((c, E) for _, E, c in local)) and 0 < aniso < 16:
         global _ap_violations
         _ap_violations += 1
         raise InvariantViolation(
@@ -229,13 +210,7 @@ def witt_index(phi: QForm) -> int:
 
 def is_hyperbolic(phi: QForm) -> bool:
     """True iff the dimension is even and the anisotropic kernel is trivial."""
-    if phi.dim % 2:
-        return False
-    if phi.dim == 0:
-        return True
-    if disc(phi) != 1 or signature(phi) != 0:
-        return False
-    return witt_decompose(phi)[1] == 0
+    return phi.dim % 2 == 0 and witt_decompose(phi)[1] == 0
 
 
 # ----------------------------------------------------------------------
@@ -244,17 +219,14 @@ def is_hyperbolic(phi: QForm) -> bool:
 
 def is_isometric(phi: QForm, psi: QForm) -> bool:
     """Complete invariant test: dimension, discriminant, signature, and Hasse
-    invariants at every place of the joint prime support (plus 2, real)."""
+    invariants at every finite place of the walk over the joint prime
+    support (the signature decides the real place)."""
     if phi.dim != psi.dim:
         return False
     if disc(phi) != disc(psi) or signature(phi) != signature(psi):
         return False
-    primes = phi.support | psi.support
-    for p in sorted(primes):
-        v = Place(p)
-        if hasse_invariant(phi, v) != hasse_invariant(psi, v):
-            return False
-    return True
+    return all(form_class_at(phi.entries, E).hasse == form_class_at(psi.entries, E).hasse
+               for v, E, _ in completions(phi.support | psi.support) if not v.is_real)
 
 
 def witt_equivalent(phi: QForm, psi: QForm) -> bool:
@@ -361,37 +333,25 @@ def in_In(phi: QForm, n: int) -> bool:
     ideal, 1 <= n <= 4."""
     if n not in (1, 2, 3, 4):
         raise DomainError("only I^1..I^4 are supported")
-    if phi.dim % 2:
+    local = ((form_class_at(phi.entries, E), E)
+             for v, E, _ in completions(phi.support) if not v.is_real)
+    return _in_I(n, phi.dim, disc(phi), signature(phi), local)
+
+
+def _in_I(n: int, dim: int, d: int, sig: int, local) -> bool:
+    """The exact criterion for I^n over Q, 1 <= n <= 4, from the dimension,
+    discriminant and signature of a form and its (class, completion) pairs
+    at the finite places of the walk, which are read only when every
+    global condition holds: even dimension; for n >= 2 trivial
+    discriminant; for n >= 3 signature divisible by 8 resp. 16 and the Hasse
+    invariant of dim/2 hyperbolic planes at every finite place."""
+    if dim % 2 or (n >= 2 and d != 1):
         return False
-    if n == 1:
+    if n <= 2:
         return True
-    if disc(phi) != 1:
-        return False
-    if n == 2:
-        return True
-    sig = signature(phi)
-    if sig % (8 if n == 3 else 16):
-        return False
-    for p in sorted(phi.support):
-        E = rationals_at(Place(p))
-        if not _split_hasse(form_class_at(phi.entries, E), E):
-            return False
-    return True
-
-
-def _split_hasse(cls: LocalFormClass, E: LocalField) -> bool:
-    """Whether a finite-place class of even dimension 2k has the Hasse
-    invariant of k hyperbolic planes, as every form in I^3 does."""
-    k = cls.dim // 2
-    return cls.hasse == hilbert_symbol(-1, -1, E) ** (k * (k - 1) // 2)
-
-
-def _local_in_I4(n: int, d: int, sig: int, local) -> bool:
-    """in_In(phi, 4) from what witt_decompose already holds: the dimension,
-    discriminant and signature of phi and its local classes at every
-    relevant place."""
-    return (n % 2 == 0 and d == 1 and sig % 16 == 0
-            and all(v.is_real or _split_hasse(cls, E) for v, (cls, E) in local.items()))
+    k = dim // 2
+    return sig % (8 if n == 3 else 16) == 0 and all(
+        cls.hasse == hilbert_symbol(-1, -1, E) ** (k * (k - 1) // 2) for cls, E in local)
 
 
 def ap_violation_count() -> int:

@@ -14,13 +14,20 @@ formula for p odd, Serre's formula for p = 2).  The local invariants of a
 form come from one class pair per entry: the Hasse invariant by those bit
 formulas on a running prefix class, without calling `hilbert_symbol`.  No
 local answer is memoised.
+
+The fiber rule `completion_over` gives the completion of a tower above a
+place from the Kummer group of its generators, and `completions` walks the
+real place, 2 and the primes of an instance in a fixed order.  Every
+local-global decision in `forms`, `extensions` and the CLI reads its local
+classes from that walk, one `form_class_at` per form and completion.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arith import DomainError, Rat, _valuation_unit, is_prime, legendre
+from .arith import DomainError, Rat, _valuation_unit, is_prime, legendre, prime_support
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,6 +206,61 @@ def local_square_class(a: Rat, E: LocalField) -> int:
 
 
 # ----------------------------------------------------------------------
+# Completions of a tower, and the walk over the ones a decision reads.
+
+
+def _prime_place(p: int) -> Place:
+    """The place of a prime that a factorization returned: `Place(p)`
+    without testing primality a second time."""
+    v = object.__new__(Place)
+    object.__setattr__(v, "p", p)
+    return v
+
+
+def completion_over(v: Place, gens) -> tuple[LocalField, int]:
+    """The completion of the tower Q(sqrt g : g in gens) (independent
+    square-free generators) at a place above v, and the number of places
+    above v; all of them are conjugate.
+
+    At the real place a negative generator makes the completion C.  At a
+    prime the Kummer group of the generators' classes in Q_p*/Q_p*^2 has
+    order e*f: f = 2 iff it contains the unramified non-square class, and
+    e = |group| / f.  The completion adjoins the least one or two nontrivial
+    canonical representatives of the group."""
+    if not gens:
+        return LocalField(v), 1
+    degree = 1 << len(gens)
+    if v.is_real:
+        if any(g < 0 for g in gens):
+            return LocalField(REAL, (-1,)), degree // 2
+        return LocalField(REAL), degree
+    p = v.p
+    if p == 2:
+        group, unramified = dyadic_subgroup(gens), 5
+    else:
+        group = {_odd_class_rep(h, p) for h in _odd_subgroup(gens, p)}
+        unramified = _odd_nonresidue(p)
+    f = 2 if unramified in group else 1
+    e = len(group) // f
+    local_gens = sorted(group - {1})[:len(group).bit_length() - 1]
+    return LocalField(v, tuple(local_gens), e, f), degree // (e * f)
+
+
+def completions(primes, gens=()) -> Iterator[tuple[Place, LocalField, int]]:
+    """(place, completion, multiplicity) of the tower Q(sqrt g : g in gens)
+    above the real place, 2, the primes of `primes` and the primes of the
+    generators, in that order (primes increasing): the only completions where
+    a form whose entries are supported on `primes` can have a nontrivial
+    local invariant.  Every local-global decision reads its local classes
+    from this walk.  `primes` come from a factorization and are not
+    re-tested."""
+    yield (REAL, *completion_over(REAL, gens))
+    for p in sorted(prime_support(gens).union(primes)):
+        v = _prime_place(p)
+        yield (v, *completion_over(v, gens))
+
+
+# ----------------------------------------------------------------------
 # Hilbert symbols.
 #
 # Over Q_p a symbol is (-1)^t, with t a bit formula on the class pairs of
@@ -224,23 +286,10 @@ def _serre_exponent(alpha: int, u: int, beta: int, w: int) -> int:
     return t % 2
 
 
-def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
-    """+1 iff <1, -a, -b> is isotropic over E (iff the quaternion algebra
-    (a, b) splits over E).
-
-    For rational a, b and a completion E of degree n over Q_v, norm
-    compatibility gives (a, b)_E = (a, N b)_{Q_v} = (a, b)_{Q_v}^n, so every
-    even-degree completion gives +1.  Over Q_v: the sign rule at the real
-    place, the tame formula for p odd and Serre's formula for p = 2, on the
-    class pairs of a and b.
-    """
-    if a == 0 or b == 0:
-        raise DomainError("hilbert symbol of 0")
-    if E.degree % 2 == 0:
-        return 1
-    if E.is_real:
-        return -1 if a < 0 and b < 0 else 1
-    p = E.base.p
+def _qp_symbol(a: Rat, b: Rat, p: int) -> int:
+    """(a, b)_p over Q_p for a prime p: Serre's formula for p = 2, the tame
+    formula for p odd, on the class pairs of a and b.  p is taken as prime
+    (it comes from a factorization or a `Place`) and is not re-tested."""
     if p == 2:
         t = _serre_exponent(*_dyadic_pair(a), *_dyadic_pair(b))
     else:
@@ -248,9 +297,27 @@ def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
     return -1 if t else 1
 
 
+def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
+    """+1 iff <1, -a, -b> is isotropic over E (iff the quaternion algebra
+    (a, b) splits over E).
+
+    For rational a, b and a completion E of degree n over Q_v, norm
+    compatibility gives (a, b)_E = (a, N b)_{Q_v} = (a, b)_{Q_v}^n, so every
+    even-degree completion gives +1.  Over Q_v: the sign rule at the real
+    place, `_qp_symbol` at a prime.
+    """
+    if a == 0 or b == 0:
+        raise DomainError("hilbert symbol of 0")
+    if E.degree % 2 == 0:
+        return 1
+    if E.is_real:
+        return -1 if a < 0 and b < 0 else 1
+    return _qp_symbol(a, b, E.base.p)
+
+
 def _symbol_split_at(a: Rat, b: Rat, primes) -> bool:
     """Whether (a, b)_p = +1 at every prime p of `primes`."""
-    return all(hilbert_symbol(a, b, LocalField(Place(p))) == 1 for p in primes)
+    return all(_qp_symbol(a, b, p) == 1 for p in primes)
 
 
 # ----------------------------------------------------------------------

@@ -36,9 +36,9 @@ from .forms import (
     _support_among,
     in_G,
     in_In,
-    is_hyperbolic,
     orth_sum,
     pfister_slots,
+    signature,
     tensor,
     witt_decompose,
     witt_equivalent,
@@ -160,12 +160,12 @@ def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND) -> int | N
     engineering cap).
     """
     _check_bound(bound)
-    if is_hyperbolic(phi):
+    base_index, aniso, _ = witt_decompose(phi)
+    if aniso == 0:
         raise DomainError("form is hyperbolic: no index-raising extension is needed")
     if not in_G(phi, a):
         raise DomainError(f"{a} is not a similarity factor of the form")
     a = squarefree_rep(a)
-    base_index = witt_decompose(phi)[0]
     support = phi.support | prime_support([a])
     for d in candidate_classes(support, bound):
         if not norm_member(a, d):
@@ -223,7 +223,7 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
         raise DomainError(f"{c} is not a similarity factor of pi (x) psi")
     c_sf = squarefree_rep(c)
 
-    if is_hyperbolic(phi):
+    if signature(phi) == 0:
         return _certificate(phi, TRIVIAL_TOWER, c)
     for d in candidate_classes(phi.support | prime_support([c_sf]), bound):
         if d < 0 and norm_member(c_sf, d):

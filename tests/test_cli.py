@@ -200,6 +200,55 @@ class TestCliContract:
         assert code == 0 and out == {"d": -2}
 
 
+class TestRationalArguments:
+    """Tower generators, quaternion slots, `d` and a certificate multiplier
+    are rationals and never truncated; `n` is a JSON integer."""
+
+    def test_quaternion_slot(self, capsys):
+        code, out = run_json(capsys, "quaternion", '{"quaternion":["5/2",3]}')
+        assert code == 0 and out["norm_form"] == [1, -10, -3, 30]
+
+    def test_tower_generator(self, capsys):
+        payload = '{"form":{"diag":[1,-10]},"tower":{"tower":["5/2"]}}'
+        code, out = run_json(capsys, "witt", payload)
+        assert code == 0 and out == {"witt_index": 1, "hyperbolic": True}
+
+    def test_norm_member_tower_generator(self, capsys):
+        code, out = run_json(capsys, "norm-member", '{"c":-1,"tower":["1/2"]}')
+        assert code == 0 and out == {"member": True}
+
+    def test_norm_member_d(self, capsys):
+        code, out = run_json(capsys, "norm-member", '{"c":-1,"d":"1/2"}')
+        assert code == 0 and out == {"member": True}
+        code, out = run_json(capsys, "norm-member", '{"c":-1,"d":2.5}')
+        assert code == 1 and out["error"] == "malformed-input"
+
+    def test_certificate_multiplier(self, capsys):
+        lemma24 = '{"pi":{"pfister":[-1,-1]},"psi":{"diag":[1,1,1,1,1,-3]},"c":2}'
+        _, out = run_json(capsys, "lemma24", lemma24)
+        cert = dict(out["certificate"], multiplier="5/2")
+        payload = json.dumps({
+            "form": {"tensor": [{"pfister": [-1, -1]}, {"diag": [1, 1, 1, 1, 1, -3]}]},
+            "certificate": cert,
+        })
+        code, out = run_json(capsys, "verify-cert", payload)
+        assert code == 0 and out == {"valid": False}
+
+    @pytest.mark.parametrize("generators", ["[2.5]", "[true, -1]"])
+    def test_certificate_generators_are_rationals(self, capsys, generators):
+        cert = ('{"schema":"hyp-certificate/1","multiplier":2,'
+                '"tower":{"generators":%s},"square_adjustment":1}' % generators)
+        payload = ('{"form":{"tensor":[{"pfister":[-1,-1]},{"diag":[1,1,1,1,1,-3]}]},'
+                   '"certificate":%s}' % cert)
+        code, out = run_json(capsys, "verify-cert", payload)
+        assert code == 1 and out["error"] == "malformed-input"
+
+    @pytest.mark.parametrize("n", ["2.7", "true", '"4"'])
+    def test_in_in_n_must_be_an_integer(self, capsys, n):
+        code, out = run_json(capsys, "in-in", '{"form":{"pfister":[2,3,5,7]},"n":%s}' % n)
+        assert code == 1 and out["error"] == "malformed-input"
+
+
 def run_process(*argv):
     """Run the CLI in a fresh interpreter, as a user would."""
     env = dict(os.environ, PYTHONPATH=str(SRC))

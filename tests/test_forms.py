@@ -160,6 +160,10 @@ class TestIsometry:
         assert not is_isometric(qform([1, 1]), qform([1, 2]))
         # 2*(1/4)^2 + 14*(1/4)^2 = 1, and both have disc -7, signature 2.
         assert is_isometric(qform([1, 7]), qform([2, 14]))
+        # Same dimension, disc -1 and signature; the Hasse invariants differ
+        # only at 3 and 7, primes of the second form alone.
+        assert not is_isometric(qform([1, 1]), qform([21, 21]))
+        assert not is_isometric(qform([21, 21]), qform([1, 1]))
 
     def test_witt_cancellation(self):
         rng = random.Random(36)

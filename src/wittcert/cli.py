@@ -20,13 +20,7 @@ import sys
 from .arith import DomainError
 from . import codecs
 from .codecs import ParseError
-from .extensions import (
-    hyperbolicity_evidence,
-    is_hyperbolic_over,
-    norm_member,
-    norm_member_tower,
-    witt_index_over,
-)
+from .extensions import aniso_dim_over, hyperbolicity_evidence, norm_member, norm_member_tower
 from .forms import disc, in_G, in_In, is_isometric, is_isotropic, signature, witt_decompose
 from .involutions import degree_index, involution_discriminant, is_split, norm_form, reduce_to_form
 from .localfields import completions, form_class_at
@@ -52,7 +46,8 @@ class HypothesisFailure(Exception):
 
 
 def _form_invariants(phi, trace: bool) -> dict:
-    w, aniso, cls = witt_decompose(phi)
+    walk = [(v, E, form_class_at(phi.entries, E)) for v, E, _ in completions(phi.support)]
+    w, aniso, cls = witt_decompose(phi, walk[1:])
     out = {
         "dim": phi.dim,
         "disc": disc(phi),
@@ -64,10 +59,7 @@ def _form_invariants(phi, trace: bool) -> dict:
         "aniso_dim": aniso,
     }
     if trace:
-        out["hasse"] = [
-            {"place": str(v), "value": form_class_at(phi.entries, E).hasse}
-            for v, E, _ in completions(phi.support)
-        ]
+        out["hasse"] = [{"place": str(v), "value": c.hasse} for v, _, c in walk]
     return out
 
 
@@ -106,8 +98,8 @@ def _run_verb(verb: str, payload, opts) -> dict:
             phi = codecs.parse_form(payload["form"])
             if "tower" in payload:
                 tower = codecs.parse_tower(payload["tower"])
-                return {"witt_index": witt_index_over(phi, tower),
-                        "hyperbolic": is_hyperbolic_over(phi, tower)}
+                aniso = aniso_dim_over(phi, tower)
+                return {"witt_index": (phi.dim - aniso) // 2, "hyperbolic": aniso == 0}
         else:
             phi = codecs.parse_form(payload)
         w, aniso, cls = witt_decompose(phi)

@@ -172,7 +172,7 @@ def dump_completion(E: LocalField) -> dict:
 def dump_certificate(cert: HypCertificate) -> dict:
     return {
         "schema": CERTIFICATE_SCHEMA,
-        "multiplier": cert.multiplier,
+        "multiplier": dump_rat(cert.multiplier),
         "tower": dump_tower(cert.tower),
         "square_adjustment": dump_rat(cert.square_adjustment),
         "evidence": [

@@ -64,7 +64,9 @@ class ExtensionTower:
 
 @dataclass(frozen=True, slots=True)
 class PlaceFiber:
-    """Completions of a tower above one place of Q, with multiplicities."""
+    """Completions of a tower above one place of Q, with multiplicities.
+    Public API only (see `places_over`): all completions above a place are
+    conjugate, so the tuple has one entry."""
 
     base_place: Place
     completions: tuple[tuple[LocalField, int], ...]
@@ -101,7 +103,9 @@ TRIVIAL_TOWER = ExtensionTower(())
 
 
 def places_over(M: ExtensionTower, v: Place) -> PlaceFiber:
-    """Splitting of v in M, by the fiber rule of `completion_over`."""
+    """Splitting of v in M, by the fiber rule of `completion_over`.  Kept as
+    public API for library users; the engine calls `completion_over` (through
+    `localfields.completions`) directly."""
     return PlaceFiber(v, (completion_over(v, M.generators),))
 
 

@@ -162,7 +162,7 @@ def is_isotropic(phi: QForm) -> bool:
     return isotropy_obstruction(phi) is None
 
 
-def witt_decompose(phi: QForm) -> tuple[int, int, WittClassQ]:
+def witt_decompose(phi: QForm, local=None) -> tuple[int, int, WittClassQ]:
     """(witt_index, aniso_dim, aniso_class): phi = (anisotropic kernel) + witt_index x H.
 
     The anisotropic dimension is the largest local anisotropic dimension
@@ -170,13 +170,16 @@ def witt_decompose(phi: QForm) -> tuple[int, int, WittClassQ]:
     finite place of the walk the dimension read off the one local class
     computed there.  The Hasse data of the kernel is obtained by descending
     that class two dimensions at a time, and the Arason-Pfister guard reads
-    the same classes.
+    the same classes.  A caller that already holds the classes passes them
+    as `local`: (place, completion, form_class_at) at each finite place of
+    `completions(phi.support)`.
     """
     n = phi.dim
     d = disc(phi)
     sig = signature(phi)
-    local = [(v, E, form_class_at(phi.entries, E))
-             for v, E, _ in completions(phi.support) if not v.is_real]
+    if local is None:
+        local = [(v, E, form_class_at(phi.entries, E))
+                 for v, E, _ in completions(phi.support) if not v.is_real]
     aniso = max([abs(sig)] + [local_aniso_dim(cls, E) for _, E, cls in local])
     witt_index = (n - aniso) // 2
     # Hasse data of the anisotropic representative, by the descent law

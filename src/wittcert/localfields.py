@@ -209,14 +209,6 @@ def local_square_class(a: Rat, E: LocalField) -> int:
 # Completions of a tower, and the walk over the ones a decision reads.
 
 
-def _prime_place(p: int) -> Place:
-    """The place of a prime that a factorization returned: `Place(p)`
-    without testing primality a second time."""
-    v = object.__new__(Place)
-    object.__setattr__(v, "p", p)
-    return v
-
-
 def completion_over(v: Place, gens) -> tuple[LocalField, int]:
     """The completion of the tower Q(sqrt g : g in gens) (independent
     square-free generators) at a place above v, and the number of places
@@ -252,11 +244,10 @@ def completions(primes, gens=()) -> Iterator[tuple[Place, LocalField, int]]:
     generators, in that order (primes increasing): the only completions where
     a form whose entries are supported on `primes` can have a nontrivial
     local invariant.  Every local-global decision reads its local classes
-    from this walk.  `primes` come from a factorization and are not
-    re-tested."""
+    from this walk."""
     yield (REAL, *completion_over(REAL, gens))
     for p in sorted(prime_support(gens).union(primes)):
-        v = _prime_place(p)
+        v = Place(p)
         yield (v, *completion_over(v, gens))
 
 

@@ -55,7 +55,7 @@ class HypCertificate:
     """Checkable witness that a tower hyperbolises the form and contains the
     multiplier in its norm group (up to squares)."""
 
-    multiplier: int
+    multiplier: Rat  # parsed as given; the verifier rejects a non-integer
     tower: ExtensionTower
     square_adjustment: Fraction  # s^2 with c * s^2 = multiplier; 1 when unused
     evidence: tuple[PlaceEvidence, ...]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from fractions import Fraction
 
@@ -79,6 +81,10 @@ def test_certificate_round_trip_through_json():
     parsed = parse_certificate(blob)
     assert parsed.multiplier == cert.multiplier
     assert parsed.tower == cert.tower
+    # Evidence is advisory and not parsed back; the rest dumps to the same JSON.
+    assert json.dumps({**dump_certificate(parsed), "evidence": blob["evidence"]}) == json.dumps(blob)
     assert verify_certificate(tensor(pi, psi), parsed)
+    halved = parse_certificate({**blob, "multiplier": "5/2"})
+    assert json.loads(json.dumps(dump_certificate(halved)))["multiplier"] == "5/2"
     with pytest.raises(DomainError):
         parse_certificate({"schema": "other/9"})

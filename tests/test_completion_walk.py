@@ -3,6 +3,9 @@ the fiber rule on every Kummer group, one local class per (form, completion)
 in each decision, no Witt decomposition in the lemma24 search, and the
 verdicts the walk lets a caller read off one decomposition."""
 
+import contextlib
+import io
+import json
 import random
 import sys
 from collections import Counter
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_acceptance import _generate_lemma24_instances
 from wittcert import forms, localfields
+from wittcert.cli import main
 from wittcert.arith import _class_product, prime_support, squarefree_rep
 from wittcert.extensions import aniso_dim_over, make_tower, places_over
 from wittcert.forms import (
@@ -149,6 +153,13 @@ class TestOneClassPerCompletion:
             classes.clear()
             aniso_dim_over(phi, M)
             self.at_most_once(classes)
+
+    @pytest.mark.parametrize("phi", FORMS, ids=str)
+    def test_cli_invariants_trace(self, classes, phi):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["invariants", json.dumps({"diag": phi.entries}), "--trace"]) == 0
+        assert len(json.loads(out.getvalue())["hasse"]) == len(classes)
+        self.at_most_once(classes)
 
     def test_lemma24_makes_no_witt_decomposition(self, monkeypatch):
         calls = []

@@ -5,9 +5,11 @@ input and output.
 
 Exit status: 0 on success (including explicit not-found results), 2 when a
 hypothesis check or precondition fails (the failing check is named), 1 on
-malformed input.  Output is deterministic: fixed key order, exact integers
-and rational strings, never floats.  The default search bound can also be
-set through the WITTCERT_SEARCH_BOUND environment variable.
+malformed input, 3 on input beyond a fixed size limit (`limit-exceeded`:
+a form descriptor expanding above `codecs.MAX_EXPANDED_DIM` dimensions).
+Output is deterministic: fixed key order, exact integers and rational
+strings, never floats.  The default search bound can also be set through
+the WITTCERT_SEARCH_BOUND environment variable.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 from .arith import DomainError
 from . import codecs
-from .codecs import ParseError
+from .codecs import LimitExceeded, ParseError
 from .extensions import aniso_dim_over, hyperbolicity_evidence, norm_member, norm_member_tower
 from .forms import disc, in_G, in_In, is_isometric, is_isotropic, signature, witt_decompose
 from .involutions import degree_index, involution_discriminant, is_split, norm_form, reduce_to_form
@@ -263,6 +265,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(json.dumps({"error": "malformed-input", "detail": str(exc)}, indent=2))
         return 1
+    except LimitExceeded as exc:
+        print(json.dumps({"error": "limit-exceeded", "detail": str(exc)}, indent=2))
+        return 3
     except DomainError as exc:
         print(json.dumps({"error": "precondition-failed", "detail": str(exc)}, indent=2))
         return 2

@@ -10,12 +10,18 @@ identical inputs produce byte-identical JSON.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .arith import DomainError
 
 
 class ParseError(DomainError):
     """Malformed descriptor or payload (maps to CLI exit status 1)."""
+
+
+class LimitExceeded(DomainError):
+    """Well-formed input beyond a fixed size limit (maps to CLI exit status
+    3)."""
 from .extensions import ExtensionTower, make_tower
 from .forms import QForm, orth_sum, pfister, qform, scale, tensor
 from .involutions import InvolutionAlgebra, QuaternionAlg, quaternion
@@ -24,6 +30,10 @@ from .similitude import HypCertificate, MultiplierResult, PipelineReport, Pfiste
 
 CERTIFICATE_SCHEMA = "hyp-certificate/1"
 REPORT_SCHEMA = "pipeline-report/1"
+# Largest dimension a `tensor` or `sum` descriptor may expand to: far above
+# the 24 dimensions of the certificate pipeline's forms, and small enough
+# that every verb answers within a second.
+MAX_EXPANDED_DIM = 1024
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +73,9 @@ def parse_form_text(text: str) -> QForm:
 
 
 def parse_form(obj) -> QForm:
-    """Composable JSON descriptor: diag / pfister / tensor / sum / scale."""
+    """Composable JSON descriptor: diag / pfister / tensor / sum / scale.  A
+    `tensor` or `sum` whose expansion would exceed `MAX_EXPANDED_DIM`
+    dimensions is refused before it is expanded."""
     if isinstance(obj, str):
         return parse_form_text(obj)
     if not isinstance(obj, dict) or len(obj) != 1:
@@ -73,21 +85,24 @@ def parse_form(obj) -> QForm:
         return qform([parse_rat(x) for x in val])
     if key == "pfister":
         return pfister([parse_rat(x) for x in val])
-    if key == "tensor":
+    if key in ("tensor", "sum"):
+        if not val:
+            raise ParseError(f"{key} descriptor needs at least one form")
         parts = [parse_form(x) for x in val]
+        dims = [p.dim for p in parts]
+        dim = prod(dims) if key == "tensor" else sum(dims)
+        if dim > MAX_EXPANDED_DIM:
+            raise LimitExceeded(f"{key} descriptor expands to dimension {dim}, "
+                                f"above the limit {MAX_EXPANDED_DIM}")
+        combine = tensor if key == "tensor" else orth_sum
         out = parts[0]
         for p in parts[1:]:
-            out = tensor(out, p)
-        return out
-    if key == "sum":
-        parts = [parse_form(x) for x in val]
-        out = parts[0]
-        for p in parts[1:]:
-            out = orth_sum(out, p)
+            out = combine(out, p)
         return out
     if key == "scale":
-        c, rest = val[0], val[1]
-        return scale(parse_rat(c), parse_form(rest))
+        if len(val) != 2:
+            raise ParseError(f"scale descriptor must be [c, form]: {val!r}")
+        return scale(parse_rat(val[0]), parse_form(val[1]))
     raise ParseError(f"unknown form descriptor key: {key!r}")
 
 

@@ -28,8 +28,12 @@ from .arith import DomainError, Rat, _class_product, _squarefree_part
 from .localfields import (
     REAL,
     Place,
+    _class_histogram,
+    _class_index,
+    _histogram_class,
     _plane_factors,
     _symbol_split_at,
+    _translate,
     completions,
     form_class_at,
     hilbert_symbol,
@@ -140,7 +144,7 @@ def signature(phi: QForm) -> int:
 
 def hasse_invariant(phi: QForm, v: Place) -> int:
     """Product of Hilbert symbols (a_i, a_j) over i < j at the completion at
-    v, evaluated by `form_class_at` from one square class per entry."""
+    v, evaluated by `form_class_at` from the entries' class histogram."""
     return form_class_at(phi.entries, rationals_at(v)).hasse
 
 
@@ -313,8 +317,9 @@ def in_G(phi: QForm, c: Rat) -> bool:
     of the Hasse invariant (Lam, Ch. V) gives: c is a similarity factor iff
     c > 0 or sig phi = 0, and (c, disc phi)_p = +1 at every prime p of the
     support of phi and of c (elsewhere both are units at an odd p).  The
-    verdict is checked against the complete invariant test of
-    c*phi = phi; disagreement means an engine bug."""
+    verdict is checked against the complete invariant test of c*phi = phi,
+    which reads s_p(c phi) from phi's class histogram translated by the
+    class of c (`_isometric_to_scaled`); disagreement means an engine bug."""
     if Fraction(c) == 0:
         raise DomainError("similarity factor must be nonzero")
     c, primes = _squarefree_part(c)
@@ -323,12 +328,32 @@ def in_G(phi: QForm, c: Rat) -> bool:
     else:
         closed = (c > 0 or signature(phi) == 0) and _symbol_split_at(
             c, disc(phi), phi.support.union(primes))
-    if closed != is_isometric(scale(c, phi), phi):
+    if closed != _isometric_to_scaled(phi, c):
         raise InvariantViolation(
             f"in_G closed form disagrees with the isometry test for {phi}, c={c}: "
             f"closed form {closed}"
         )
     return closed
+
+
+def _isometric_to_scaled(phi: QForm, c: int) -> bool:
+    """The complete invariant test of c*phi = phi, c a square-free integer:
+    the discriminant and signature of `scale(c, phi)` against those of phi
+    (scaling keeps the dimension), and the Hasse invariants at every finite
+    place of the walk over the joint support.  At each place one class
+    histogram is built: s_p(c phi) is read from phi's histogram translated by
+    the class of c, a product in the group ring Z[Q_p*/Q_p*^2]."""
+    psi = scale(c, phi)
+    if disc(psi) != disc(phi) or signature(psi) != signature(phi):
+        return False
+    for v, E, _ in completions(phi.support | psi.support):
+        if v.is_real:
+            continue
+        hist = _class_histogram(phi.entries, v.p)
+        scaled = _translate(hist, _class_index(c, v.p))
+        if _histogram_class(hist, E).hasse != _histogram_class(scaled, E).hasse:
+            return False
+    return True
 
 
 def in_In(phi: QForm, n: int) -> bool:

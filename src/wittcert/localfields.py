@@ -10,10 +10,17 @@ place is a pair (valuation parity, unit part), computed from one valuation
 and one Legendre symbol or residue mod 8.  Hilbert symbols of rationals are
 closed forms: +1 over every even-degree completion (norm compatibility), the
 sign rule over R, and over Q_p bit formulas on the class pairs (the tame
-formula for p odd, Serre's formula for p = 2).  The local invariants of a
-form come from one class pair per entry: the Hasse invariant by those bit
-formulas on a running prefix class, without calling `hilbert_symbol`.  No
-local answer is memoised.
+formula for p odd, Serre's formula for p = 2).
+
+The local invariants of a diagonal form over a finite completion depend
+only on how many of its entries lie in each class of Q_p*/Q_p*^2 (4 classes
+for p odd, 8 for p = 2): its histogram, an element of the group ring
+Z[Q_p*/Q_p*^2].  Each distinct entry is mapped once to its class, and
+equal entries only add to its count; the discriminant and the Hasse
+invariant then come from the at most 8 class counts by the multiplicity
+law and a table of the closed-form symbols, without calling
+`hilbert_symbol`.  Scaling a form by c translates its histogram by the
+class of c.  No local answer is memoised.
 
 The fiber rule `completion_over` gives the completion of a tower above a
 place from the Kummer group of its generators, and `completions` walks the
@@ -256,8 +263,8 @@ def completions(primes, gens=()) -> Iterator[tuple[Place, LocalField, int]]:
 #
 # Over Q_p a symbol is (-1)^t, with t a bit formula on the class pairs of
 # its arguments: the tame formula for p odd, Serre's formula for p = 2
-# (Serre, A Course in Arithmetic, III.1.2).  `hilbert_symbol` and
-# `form_class_at` both evaluate symbols through these two helpers.
+# (Serre, A Course in Arithmetic, III.1.2).  `hilbert_symbol` evaluates
+# symbols through these two helpers, `form_class_at` through tables of them.
 
 
 def _tame_exponent(alpha: int, chi_u: int, beta: int, chi_w: int, eps: int) -> int:
@@ -312,6 +319,92 @@ def _symbol_split_at(a: Rat, b: Rat, primes) -> bool:
 
 
 # ----------------------------------------------------------------------
+# Class histograms: forms over Q_p as elements of Z[Q_p*/Q_p*^2].
+#
+# A class is numbered so that multiplying classes is XOR of their numbers:
+# 2 v + chi for p odd (the pair (v, chi)), and 4 v + (u mod 8) // 2 for
+# p = 2 (u mod 8 = 1, 3, 5, 7 gives 0, 1, 2, 3, and the units mod 8 form
+# (Z/2)^2 under that numbering).  -1 is number eps = (p - 1)/2 mod 2 for
+# p odd and 3 for p = 2.  The tables hold the exponent t of
+# (i, j)_p = (-1)^t for every pair of class numbers, from the tame formula
+# (one table per eps) and Serre's formula.
+
+_TAME_TABLES = tuple(
+    tuple(tuple(_tame_exponent(i >> 1, i & 1, j >> 1, j & 1, eps) for j in range(4))
+          for i in range(4))
+    for eps in (0, 1))
+_SERRE_TABLE = tuple(
+    tuple(_serre_exponent(i >> 2, 2 * (i & 3) + 1, j >> 2, 2 * (j & 3) + 1) for j in range(8))
+    for i in range(8))
+
+
+def _class_index(a: int, p: int) -> int:
+    """The number of the class of the nonzero integer a in Q_p*/Q_p*^2.  An
+    integer prime to p is a unit: one Euler criterion for p odd, a residue
+    mod 8 for p = 2.  Any other integer goes through the valuation."""
+    if p == 2:
+        if a & 1:
+            return a % 8 >> 1
+        v, u = _valuation_unit(2, a)
+        return (v & 1) << 2 | u % 8 >> 1
+    if a % p:
+        return 0 if pow(a, (p - 1) >> 1, p) == 1 else 1
+    v, u = _valuation_unit(p, a)
+    return (v & 1) << 1 | (0 if pow(u, (p - 1) >> 1, p) == 1 else 1)
+
+
+def _class_histogram(entries, p: int) -> list[int]:
+    """How many of the entries lie in each class of Q_p*/Q_p*^2, indexed by
+    class number.  Each distinct entry is mapped once to its class; a
+    repeated entry only adds to its count."""
+    hist = [0] * (8 if p == 2 else 4)
+    seen: dict[int, int] = {}
+    for a in entries:
+        i = seen.get(a)
+        if i is None:
+            i = seen[a] = _class_index(a, p)
+        hist[i] += 1
+    return hist
+
+
+def _translate(hist: list[int], i: int) -> list[int]:
+    """The histogram of c * phi from that of phi, c of class number i: the
+    group-ring product with the class of c."""
+    return [hist[j ^ i] for j in range(len(hist))]
+
+
+def _histogram_class(hist: list[int], E: LocalField) -> LocalFormClass:
+    """Local invariants over E (a finite completion) of a form whose entries
+    have the class histogram `hist` in the base field Q_p.
+
+    The Hasse invariant prod_{i<j} (a_i, a_j) is accumulated class by class:
+    m entries of class a, appended to a prefix of product P, contribute
+    (P, a)^m (a, -1)^(m(m-1)/2), since (a, a) = (a, -1).  Each factor is one
+    table lookup.  Over an even-degree completion every symbol is +1, so
+    only the prefix is kept.  The final prefix, times (-1)^(n(n-1)/2) and
+    reduced modulo the adjoined square roots, is the discriminant."""
+    p = E.base.p
+    if p == 2:
+        table, minus_one = _SERRE_TABLE, 3
+    else:
+        minus_one = (p - 1) >> 1 & 1
+        table = _TAME_TABLES[minus_one]
+    symbols = E.degree & 1
+    n = t = prefix = 0
+    for i, m in enumerate(hist):
+        if m:
+            n += m
+            if symbols:
+                t ^= (m & table[prefix][i]) ^ (m * (m - 1) >> 1 & table[i][minus_one])
+            if m & 1:
+                prefix ^= i
+    if n * (n - 1) >> 1 & 1:
+        prefix ^= minus_one
+    pair = (prefix >> 2, 2 * (prefix & 3) + 1) if p == 2 else (prefix >> 1, prefix & 1)
+    return LocalFormClass(n, _class_rep(pair, E), -1 if t else 1, None)
+
+
+# ----------------------------------------------------------------------
 # Local form classes and anisotropic dimension.
 
 
@@ -319,46 +412,20 @@ def form_class_at(entries: tuple[int, ...], E: LocalField) -> LocalFormClass:
     """Local invariants of the diagonal form with the given nonzero integer
     entries over E.
 
-    At a finite place each entry is mapped once to its class pair, and the
-    pairs are multiplied into a prefix class.  Over Q_p the Hasse invariant
-    prod_{i<j} (a_i, a_j) is evaluated by bilinearity as
-    prod_j (a_1...a_{j-1}, a_j), each factor by the tame or Serre formula on
-    the prefix pair and the pair of a_j: bit arithmetic, no Hilbert-symbol
-    calls and no factoring.  Over an even-degree completion every such
-    symbol is +1, so the Hasse invariant is +1 and only the classes are
-    multiplied.  The final prefix, times the sign (-1)^(n(n-1)/2) and reduced
-    modulo the adjoined square roots, gives the discriminant."""
+    Over R and C they are read off the signs.  At a finite place they come
+    from the entries' class histogram in Q_p*/Q_p*^2 (`_histogram_class`):
+    one class per distinct entry, then at most 8 class counts, with no
+    Hilbert-symbol call, no per-entry prefix and no factoring."""
     n = len(entries)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
     if E.is_real:
+        sign = -1 if (n * (n - 1) // 2) % 2 else 1
         negs = sum(1 for a in entries if a < 0)
         sig = n - 2 * negs
         h = -1 if (negs * (negs - 1) // 2) % 2 else 1
         return LocalFormClass(n, -sign if negs % 2 else sign, h, sig)
     if E.is_complex:
         return LocalFormClass(n, 1, 1, None)
-    p = E.base.p
-    symbols = E.degree % 2
-    t = 0
-    if p == 2:
-        pv, pu = 0, 1
-        for a in entries:
-            v, u = _dyadic_pair(a)
-            if symbols:
-                t ^= _serre_exponent(pv, pu, v, u)
-            pv, pu = pv ^ v, pu * u % 8
-        pu = pu * sign % 8
-    else:
-        eps = (p - 1) // 2 % 2
-        pv = pu = 0
-        for a in entries:
-            v, u = _odd_class_pair(a, p)
-            if symbols:
-                t ^= _tame_exponent(pv, pu, v, u, eps)
-            pv, pu = pv ^ v, pu ^ u
-        if sign < 0:
-            pu ^= eps  # -1 has the pair (0, eps)
-    return LocalFormClass(n, _class_rep((pv, pu), E), -1 if t else 1, None)
+    return _histogram_class(_class_histogram(entries, E.base.p), E)
 
 
 def _plane_factors(d: Rat, E: LocalField) -> tuple[int, int]:

@@ -221,8 +221,16 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
         raise DomainError("pi (x) psi does not lie in I^4")
     if not in_G(phi, c):
         raise DomainError(f"{c} is not a similarity factor of pi (x) psi")
-    c_sf = squarefree_rep(c)
+    return _certify_in_I4(phi, c, bound)
 
+
+def _certify_in_I4(phi: QForm, c: Rat, bound: int) -> HypCertificate | SearchExhausted:
+    """The certificate of `lemma24_certificate` for a form phi in I^4 and a
+    similarity factor c of it, both verdicts already decided by the caller:
+    the trivial tower when phi has signature 0, else the first negative
+    candidate with c a norm.  The certificate is verified before it is
+    returned."""
+    c_sf = squarefree_rep(c)
     if signature(phi) == 0:
         return _certificate(phi, TRIVIAL_TOWER, c)
     for d in candidate_classes(phi.support | prime_support([c_sf]), bound):
@@ -318,9 +326,12 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
 
     Checks, in order: degree 12, index <= 2, trivial involution discriminant,
     psi = phi (x) <<a,b>> in I^4.  A failing check halts the pipeline and is
-    recorded in the report (not raised).  When no multipliers are supplied,
-    ten square classes represented by the norm form are sampled.  The bound
-    must be at least 1.
+    recorded in the report (not raised).  Each verdict is decided once: psi
+    in I^4 for the instance and c in G(psi) per multiplier, and the
+    certificate for psi (the form pi (x) phi of `lemma24_certificate` up to
+    the order of its entries) is built without deciding them again.  When
+    no multipliers are supplied, ten square classes represented by the norm
+    form are sampled.  The bound must be at least 1.
     """
     _check_bound(bound)
     if phi6.dim != 6:
@@ -350,13 +361,12 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
 
     if multipliers is None:
         multipliers = _norm_values(q, 10, seed)
-    pi = norm_form(q)
     for c in multipliers:
         c_sf = squarefree_rep(c)
         if not in_G(psi, c_sf):
             report.multipliers.append(MultiplierResult(c_sf, "not-in-G"))
             continue
-        outcome = lemma24_certificate(pi, phi6, c, bound)
+        outcome = _certify_in_I4(psi, c, bound)
         if isinstance(outcome, SearchExhausted):
             report.multipliers.append(
                 MultiplierResult(c_sf, "not-found-within-bounds", bound=outcome.bound))

@@ -152,6 +152,22 @@ class TestCliContract:
         assert out["witt_index"] == 2 and out["aniso_dim"] == 2
         assert out["aniso_class"]["signature"] == 2
 
+    @pytest.mark.parametrize("payload", ['{"tensor":[]}', '{"sum":[]}', '{"scale":[2]}',
+                                         '{"scale":[2,{"diag":[1]},3]}'])
+    def test_descriptor_arity_is_malformed_input(self, capsys, payload):
+        code, out = run_json(capsys, "invariants", payload)
+        assert code == 1 and out["error"] == "malformed-input"
+
+    def test_expanded_dimension_limit_exit_3(self, capsys):
+        four_fold = [{"pfister": [2, 3, 5, 7]}, {"pfister": [-1, 11, 13, 17]},
+                     {"pfister": [19, 23, 29, 31]}, {"pfister": [37, 41, 43, 47]}]
+        code, out = run_json(capsys, "invariants", json.dumps({"tensor": four_fold}))
+        assert code == 3 and out["error"] == "limit-exceeded"
+        assert "65536" in out["detail"]
+        code, out = run_json(capsys, "isometric", json.dumps(
+            {"left": {"diag": [1]}, "right": {"sum": [{"tensor": four_fold[:3]}, {"diag": [1]}]}}))
+        assert code == 3 and out["error"] == "limit-exceeded"
+
     def test_precondition_failure_exit_2(self, capsys):
         code, out = run_json(capsys, "lemma-beta", '{"form":{"diag":[1,-1]},"a":1}')
         assert code == 2 and out["error"] == "precondition-failed"

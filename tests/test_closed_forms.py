@@ -73,11 +73,24 @@ class TestSimilarityFactors:
         assert verdicts.count(True) > 30 and verdicts.count(False) > 30
 
     def test_disagreement_with_the_isometry_test_raises(self, monkeypatch):
-        original = forms.is_isometric
-        monkeypatch.setattr(forms, "is_isometric", lambda a, b: not original(a, b))
-        for phi, c in ((qform([1, 1, 1, 1]), 2), (qform([1, 1]), -1), (qform([3, 5, 7]), 1)):
-            with pytest.raises(InvariantViolation):
-                in_G(phi, c)
+        """A fault in the translated histograms of the agreement check makes
+        it disagree with the closed form, and in_G raises."""
+        translate = forms._translate
+        faults = [
+            # Translating by the class of c times a non-square unit: c*phi
+            # reads as anisometric to phi where the closed form says
+            # isometric.
+            (lambda hist, i: translate(hist, i ^ 1), [([1, 1], 2), ([3, 5, 7], 1), ([1, 1, 1], 1)]),
+            # Ignoring c: c*phi reads as isometric to phi where the closed
+            # form says anisometric.
+            (lambda hist, i: list(hist), [([1, 1], 3), ([1, 1, 1, 1, 1, 2], 5)]),
+        ]
+        for fault, cases in faults:
+            with monkeypatch.context() as m:
+                m.setattr(forms, "_translate", fault)
+                for entries, c in cases:
+                    with pytest.raises(InvariantViolation):
+                        in_G(qform(entries), c)
 
 
 class TestNormGroups:

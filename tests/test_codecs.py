@@ -3,8 +3,11 @@ import json
 import pytest
 from fractions import Fraction
 
+from wittcert import codecs
 from wittcert.arith import DomainError
 from wittcert.codecs import (
+    MAX_EXPANDED_DIM,
+    LimitExceeded,
     dump_certificate,
     dump_rat,
     parse_certificate,
@@ -51,6 +54,39 @@ class TestFormDescriptors:
     def test_bad_key_rejected(self):
         with pytest.raises(DomainError):
             parse_form({"gram": [[1, 0], [0, 1]]})
+
+
+FOUR_FOLD = [{"pfister": [2, 3, 5, 7]}, {"pfister": [-1, 11, 13, 17]},
+             {"pfister": [19, 23, 29, 31]}, {"pfister": [37, 41, 43, 47]}]
+
+
+class TestExpandedDimensionLimit:
+    def test_tensor_of_four_4_fold_pfister_forms_is_refused_before_expanding(self, monkeypatch):
+        # 16^4 = 65,536 dimensions; no tensor product may be formed.
+        def no_expansion(*args):
+            raise AssertionError("expanded before the limit check")
+
+        monkeypatch.setattr(codecs, "tensor", no_expansion)
+        with pytest.raises(LimitExceeded, match="65536"):
+            parse_form({"tensor": FOUR_FOLD})
+
+    def test_sum_above_the_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(codecs, "orth_sum", lambda *args: pytest.fail("expanded"))
+        with pytest.raises(LimitExceeded, match=str(MAX_EXPANDED_DIM + 1)):
+            parse_form({"sum": [{"diag": [1] * MAX_EXPANDED_DIM}, {"diag": [2]}]})
+
+    def test_the_limit_itself_is_accepted(self):
+        # 16 * 16 * 4 = 1,024 dimensions.
+        assert MAX_EXPANDED_DIM == 1024
+        phi = parse_form({"tensor": FOUR_FOLD[:2] + [{"pfister": [19, 23]}]})
+        assert phi.dim == MAX_EXPANDED_DIM
+        phi = parse_form({"sum": [{"diag": [1] * (MAX_EXPANDED_DIM - 1)}, {"diag": [2]}]})
+        assert phi.dim == MAX_EXPANDED_DIM
+
+    def test_nested_descriptors_are_limited_at_every_level(self):
+        inner = {"tensor": FOUR_FOLD[:2] + [{"pfister": [19, 23, 29]}]}
+        with pytest.raises(LimitExceeded, match="2048"):
+            parse_form({"sum": [{"diag": [1]}, inner]})
 
 
 class TestTowerDescriptors:

@@ -1,7 +1,9 @@
 """The walk over completions and what the decisions built on it rely on:
 the fiber rule on every Kummer group, one local class per (form, completion)
-in each decision, no Witt decomposition in the lemma24 search, and the
-verdicts the walk lets a caller read off one decomposition."""
+in each decision and one class histogram per place in the similarity-factor
+check, each verdict of the degree-12 pipeline decided once, no Witt
+decomposition in the lemma24 search, and the verdicts the walk lets a
+caller read off one decomposition."""
 
 import contextlib
 import io
@@ -21,6 +23,7 @@ from wittcert.arith import _class_product, prime_support, squarefree_rep
 from wittcert.extensions import aniso_dim_over, make_tower, places_over
 from wittcert.forms import (
     QForm,
+    in_G,
     in_In,
     is_hyperbolic,
     is_isometric,
@@ -45,7 +48,8 @@ from wittcert.localfields import (
     dyadic_class,
     dyadic_subgroup,
 )
-from wittcert.similitude import lemma24_certificate
+from wittcert.involutions import quaternion
+from wittcert.similitude import lemma24_certificate, thm6_pipeline
 
 
 class TestFiberRule:
@@ -160,6 +164,31 @@ class TestOneClassPerCompletion:
             assert main(["invariants", json.dumps({"diag": phi.entries}), "--trace"]) == 0
         assert len(json.loads(out.getvalue())["hasse"]) == len(classes)
         self.at_most_once(classes)
+
+    @pytest.mark.parametrize("phi", FORMS, ids=str)
+    def test_in_G_builds_one_histogram_per_place(self, classes, monkeypatch, phi):
+        histograms, isometries = [], []
+        spy(monkeypatch, localfields._class_histogram, histograms)
+        spy(monkeypatch, forms.is_isometric, isometries)
+        for c in (1, -1, 2, 3, -5, 7 * 11, 1000003):
+            histograms.clear()
+            in_G(phi, c)
+            finite = [v.p for v, _, _ in completions(phi.support | prime_support([c]))
+                      if not v.is_real]
+            primes = [p for _, p in histograms]
+            # The walk's order; it stops at the first disagreement.
+            assert primes == finite[:len(primes)], c
+            if c == 1:
+                assert primes == finite
+        assert classes == [] and isometries == []
+
+    def test_thm6_decides_each_verdict_once(self, monkeypatch):
+        decided = {"in_In": [], "in_G": []}
+        spy(monkeypatch, forms.in_In, decided["in_In"])
+        spy(monkeypatch, forms.in_G, decided["in_G"])
+        report = thm6_pipeline(qform([1, 1, 1, 1, 1, 2]), quaternion(2, 5), [1, -2, 10])
+        assert [m.status for m in report.multipliers] == ["certificate"] * 3
+        assert len(decided["in_In"]) == 1 and len(decided["in_G"]) == 3
 
     def test_lemma24_makes_no_witt_decomposition(self, monkeypatch):
         calls = []

@@ -1,4 +1,4 @@
-"""Local invariants from one factorization per entry: the class-pair
+"""Local invariants from one factorization per entry: the class-histogram
 kernel of `form_class_at` and its symbol formulas, gcd products of square
 classes, the prime support a form carries, the Arason-Pfister guard's I^4
 test, and the sizes of the integers the engine factorizes."""
@@ -75,8 +75,8 @@ class TestPrefixHasse:
         assert cls.dim == len(es)
 
     def test_symbol_calls_per_local_decision(self, monkeypatch):
-        # form_class_at works on class pairs alone; local_aniso_dim needs
-        # at most the two descent symbols.
+        # form_class_at works on class histograms alone; local_aniso_dim
+        # needs at most the two descent symbols.
         import wittcert.localfields as lf
 
         calls = []
@@ -108,8 +108,8 @@ def completions(rng, towers):
 
 
 class TestClassKernel:
-    """The class-pair kernel against the symbol-by-symbol computation it
-    replaced and against the all-pairs definition."""
+    """The class-histogram kernel against the symbol-by-symbol computation
+    and against the all-pairs definition."""
 
     def test_every_completion_kind(self):
         rng = random.Random(88)

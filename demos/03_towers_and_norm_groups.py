@@ -5,12 +5,12 @@ norm-group membership (with the intersection law for biquadratic towers)."""
 from wittcert import (
     REAL,
     Place,
+    completion_over,
     is_hyperbolic_over,
     make_tower,
     norm_member,
     norm_member_tower,
     pfister,
-    places_over,
     qform,
     tensor,
     witt_index_over,
@@ -25,12 +25,10 @@ for ds in [[], [5], [2, 18], [2, 3]]:
 print("\n=== Place splitting ===")
 M = make_tower([5])
 for v in [REAL, Place(5), Place(11), Place(2), Place(3)]:
-    fiber = places_over(M, v)
-    parts = " + ".join(f"{E} (x{mult})" for E, mult in fiber.completions)
-    print(f"  {M} at {v}: {parts}")
+    E, mult = completion_over(v, M.generators)
+    print(f"  {M} at {v}: {E} (x{mult})")
 M4 = make_tower([-1, 2])
-fiber = places_over(M4, Place(2))
-(E, mult), = fiber.completions
+E, mult = completion_over(Place(2), M4.generators)
 print(f"  {M4} at 2: one completion with e = {E.e}, f = {E.f} (totally ramified quartic)")
 
 print("\n=== Base change ===")

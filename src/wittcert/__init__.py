@@ -14,6 +14,7 @@ from .localfields import (
     LocalField,
     LocalFormClass,
     Place,
+    completion_over,
     hilbert_symbol,
     local_aniso_dim,
     local_square_class,
@@ -48,7 +49,6 @@ from .forms import (
 from .extensions import (
     ExtensionTower,
     PlaceEvidence,
-    PlaceFiber,
     TRIVIAL_TOWER,
     aniso_dim_over,
     hyperbolicity_evidence,
@@ -56,7 +56,6 @@ from .extensions import (
     make_tower,
     norm_member,
     norm_member_tower,
-    places_over,
     witt_index_over,
 )
 from .involutions import (

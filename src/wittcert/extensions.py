@@ -1,6 +1,5 @@
-"""Multiquadratic towers M = Q(sqrt d1[, sqrt d2]): place splitting, base
-change of forms, hyperbolicity and Witt index over M, and norm-group
-membership.
+"""Multiquadratic towers M = Q(sqrt d1[, sqrt d2]): base change of forms,
+hyperbolicity and Witt index over M, and norm-group membership.
 
 Hyperbolicity over M is decided purely locally: a form over a number field is
 hyperbolic iff it is hyperbolic at every completion.  Two global ingredients
@@ -28,7 +27,6 @@ from .localfields import (
     LocalField,
     Place,
     _symbol_split_at,
-    completion_over,
     completions,
     form_class_at,
     local_aniso_dim,
@@ -62,16 +60,6 @@ class ExtensionTower:
         return "Q(" + ", ".join(f"sqrt {d}" for d in self.generators) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class PlaceFiber:
-    """Completions of a tower above one place of Q, with multiplicities.
-    Public API only (see `places_over`): all completions above a place are
-    conjugate, so the tuple has one entry."""
-
-    base_place: Place
-    completions: tuple[tuple[LocalField, int], ...]
-
-
 def make_tower(ds) -> ExtensionTower:
     """Canonical tower from requested generators.  Square generators are
     discarded and dependent biquadratic generators are downgraded to the
@@ -96,17 +84,6 @@ def make_tower(ds) -> ExtensionTower:
 
 
 TRIVIAL_TOWER = ExtensionTower(())
-
-
-# ----------------------------------------------------------------------
-# Place fibers.
-
-
-def places_over(M: ExtensionTower, v: Place) -> PlaceFiber:
-    """Splitting of v in M, by the fiber rule of `completion_over`.  Kept as
-    public API for library users; the engine calls `completion_over` (through
-    `localfields.completions`) directly."""
-    return PlaceFiber(v, (completion_over(v, M.generators),))
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,18 @@ Completions are represented by invariants (base place, adjoined square
 classes, ramification index e, residue degree f), never by element-level
 p-adic arithmetic; elements are global rationals interpreted locally.
 
-Square classes of rationals in a completion are base classes reduced modulo
-the Kummer subgroup of the adjoined square roots; a base class at a finite
-place is a pair (valuation parity, unit part), computed from one valuation
-and one Legendre symbol or residue mod 8.  Hilbert symbols of rationals are
-closed forms: +1 over every even-degree completion (norm compatibility), the
-sign rule over R, and over Q_p bit formulas on the class pairs (the tame
-formula for p odd, Serre's formula for p = 2).
+A class of Q_p*/Q_p*^2 is a number: 2 v + chi for p odd (chi = 1 iff the
+unit part is a non-residue) and 4 v + (u mod 8) // 2 for p = 2, so that the
+product of two classes is the XOR of their numbers.  `_class_index` is the
+one map to these numbers; a rational n/d has the class of the integer n d.
+A finite completion holds its Kummer group (the classes that the adjoined
+square roots make squares) as a set of numbers, and a table from each
+number to the canonical representative of its coset, both built when the
+`LocalField` is constructed; the square class of a rational in it is one
+lookup.  Hilbert symbols of rationals are closed forms: +1 over every
+even-degree completion (norm compatibility), the sign rule over R, and over
+Q_p one lookup on the numbers of the two arguments in a table of the tame
+formula (p odd) or of Serre's formula (p = 2).
 
 The local invariants of a diagonal form over a finite completion depend
 only on how many of its entries lie in each class of Q_p*/Q_p*^2 (4 classes
@@ -32,9 +37,9 @@ classes from that walk, one `form_class_at` per form and completion.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .arith import DomainError, Rat, _valuation_unit, is_prime, legendre, prime_support
+from .arith import DomainError, Rat, _valuation_unit, is_prime, prime_support
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,14 +72,37 @@ class LocalField:
 
     For a finite base, `gens` holds canonical local square-class
     representatives of the adjoined square roots (only the locally
-    independent ones).  For the real base, gens = () is R and gens = (-1,)
-    is C.
+    independent ones).  The constructor derives from them `kummer`, the
+    numbers of the classes of Q_p*/Q_p*^2 that are squares in the field,
+    and `reps`, indexed by class number: the canonical representative in
+    the field of that base class, the member of its coset modulo `kummer`
+    with the least number.  Both take no part in equality or output.  For
+    the real base, gens = () is R and gens = (-1,) is C, and both are empty.
     """
 
     base: Place
     gens: tuple[int, ...] = ()
     e: int = 1
     f: int = 1
+    kummer: frozenset[int] = field(init=False, repr=False, compare=False)
+    reps: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p = self.base.p
+        group, reps = frozenset(), ()
+        if p is not None:
+            group = _kummer_group(self.gens, p)
+            reps = _base_reps(p)
+            if len(group) > 1:
+                table = [0] * len(reps)
+                # In ascending order, the first number met of a coset is its least.
+                for i, rep in enumerate(reps):
+                    if not table[i]:
+                        for h in group:
+                            table[i ^ h] = rep
+                reps = tuple(table)
+        object.__setattr__(self, "kummer", group)
+        object.__setattr__(self, "reps", reps)
 
     @property
     def is_real(self) -> bool:
@@ -117,81 +145,62 @@ class LocalFormClass:
 
 
 # ----------------------------------------------------------------------
-# Square classes of completions.
+# Square classes, numbered.
 #
-# At a finite place p the class of a = p^v u (u a unit) in Q_p*/Q_p*^2 is a
-# pair (v mod 2, unit part).  For p odd the unit part is the nonresidue bit
-# of u, so the group is (Z/2)^2 under XOR; for p = 2 it is u mod 8, and the
-# group (Z/2)^3 multiplies it mod 8.
+# The class of a = p^v u (u a unit) in Q_p*/Q_p*^2 is numbered so that
+# multiplying classes is XOR of their numbers: 2 (v mod 2) + chi for p odd,
+# chi = 1 iff u is a non-residue, so the group is (Z/2)^2; and
+# 4 (v mod 2) + (u mod 8) // 2 for p = 2, where u mod 8 = 1, 3, 5, 7 gives
+# 0, 1, 2, 3 and the group is (Z/2)^3.  -1 is number eps = (p - 1)/2 mod 2
+# for p odd and 3 for p = 2; the unramified non-square class is number 1 for
+# p odd and 2 (the class of 5) for p = 2.  The canonical representative of a
+# number is the least positive integer of its class.  Rationals become
+# integers (n/d has the class of n d) only at the public entry points.
 
-# Canonical representatives of Q_2* / Q_2*^2, ordered.
+# Canonical representatives of Q_2*/Q_2*^2, indexed by class number.
 DYADIC_CLASSES = (1, 3, 5, 7, 2, 6, 10, 14)
-_DYADIC_ORDER = {c: i for i, c in enumerate(DYADIC_CLASSES)}
 
 
-def _dyadic_pair(a: Rat) -> tuple[int, int]:
-    """(valuation parity, unit residue mod 8) of a in Q_2*."""
-    v, u = _valuation_unit(2, a)
-    return v % 2, u % 8
+def _integral(a: Rat) -> int:
+    """An integer in the square class of the nonzero rational a = n/d: n d."""
+    return a if isinstance(a, int) else a.numerator * a.denominator
 
 
-def dyadic_class(r: Rat) -> int:
-    """Canonical representative of the square class of r in Q_2."""
-    v, u = _dyadic_pair(r)
-    return u * 2 if v else u
+def _class_index(a: int, p: int) -> int:
+    """The number of the class of the nonzero integer a in Q_p*/Q_p*^2.  An
+    integer prime to p is a unit: one Euler criterion for p odd, a residue
+    mod 8 for p = 2.  Any other integer goes through the valuation."""
+    if p == 2:
+        if a & 1:
+            return a % 8 >> 1
+        v, u = _valuation_unit(2, a)
+        return (v & 1) << 2 | u % 8 >> 1
+    if a % p:
+        return 0 if pow(a, (p - 1) >> 1, p) == 1 else 1
+    v, u = _valuation_unit(p, a)
+    return (v & 1) << 1 | (0 if pow(u, (p - 1) >> 1, p) == 1 else 1)
 
 
-def dyadic_subgroup(gens) -> frozenset[int]:
-    """Subgroup of Q_2*/Q_2*^2 generated by the given elements."""
-    group = {1}
+def _kummer_group(gens, p: int) -> frozenset[int]:
+    """The numbers of the subgroup of Q_p*/Q_p*^2 generated by the classes
+    of the nonzero rationals `gens`."""
+    group = {0}
     for g in gens:
-        c = dyadic_class(g)
-        group |= {dyadic_class(c * h) for h in group}
+        i = _class_index(_integral(g), p)
+        group |= {i ^ h for h in group}
     return frozenset(group)
 
 
-def _odd_nonresidue(p: int) -> int:
-    u = 2
-    while legendre(u, p) == 1:
-        u += 1
-    return u
-
-
-def _odd_class_pair(a: Rat, p: int) -> tuple[int, int]:
-    """(valuation parity, nonresidue bit) of a in Q_p*, p odd.  The bit is
-    Euler's criterion on the unit part, which is prime to p."""
-    v, u = _valuation_unit(p, a)
-    return v % 2, 0 if pow(u, (p - 1) // 2, p) == 1 else 1
-
-
-def _odd_subgroup(gens, p: int) -> set[tuple[int, int]]:
-    """Subgroup of Q_p*/Q_p*^2 (p odd) generated by the given elements, as
-    (valuation parity, nonresidue bit) pairs."""
-    group = {(0, 0)}
-    for g in gens:
-        gp = _odd_class_pair(g, p)
-        group |= {(gp[0] ^ h[0], gp[1] ^ h[1]) for h in group}
-    return group
-
-
-def _odd_class_rep(pair: tuple[int, int], p: int) -> int:
-    v, chi = pair
-    rep = p if v else 1
-    return rep * _odd_nonresidue(p) if chi else rep
-
-
-def _class_rep(pair: tuple[int, int], E: LocalField) -> int:
-    """Canonical representative in E (finite base) of the base class with
-    this pair: the least member, in the fixed order, of its coset modulo the
-    Kummer subgroup of the adjoined square roots."""
-    p = E.base.p
+def _base_reps(p: int) -> tuple[int, ...]:
+    """The canonical representative of each class number of Q_p*/Q_p*^2:
+    `DYADIC_CLASSES` for p = 2, and 1, n, p, p n for p odd, with n the least
+    quadratic non-residue mod p."""
     if p == 2:
-        v, u = pair
-        c = u * 2 if v else u
-        coset = [dyadic_class(c * h) for h in dyadic_subgroup(E.gens)]
-        return min(coset, key=_DYADIC_ORDER.__getitem__)
-    coset = [(pair[0] ^ h[0], pair[1] ^ h[1]) for h in _odd_subgroup(E.gens, p)]
-    return _odd_class_rep(min(coset), p)
+        return DYADIC_CLASSES
+    n = 2
+    while pow(n, (p - 1) >> 1, p) == 1:
+        n += 1
+    return 1, n, p, p * n
 
 
 def local_square_class(a: Rat, E: LocalField) -> int:
@@ -200,7 +209,7 @@ def local_square_class(a: Rat, E: LocalField) -> int:
     Inputs are global rationals; for extensions, the class is the base class
     reduced modulo the subgroup generated by the adjoined square roots
     (Kummer: an element of Q_p is a square in a multiquadratic extension iff
-    its class lies in that subgroup).
+    its class lies in that subgroup), one lookup in `E.reps`.
     """
     if a == 0:
         raise DomainError("square class of 0")
@@ -208,8 +217,7 @@ def local_square_class(a: Rat, E: LocalField) -> int:
         return 1
     if E.is_real:
         return 1 if a > 0 else -1
-    p = E.base.p
-    return _class_rep(_dyadic_pair(a) if p == 2 else _odd_class_pair(a, p), E)
+    return E.reps[_class_index(_integral(a), E.base.p)]
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +233,7 @@ def completion_over(v: Place, gens) -> tuple[LocalField, int]:
     prime the Kummer group of the generators' classes in Q_p*/Q_p*^2 has
     order e*f: f = 2 iff it contains the unramified non-square class, and
     e = |group| / f.  The completion adjoins the least one or two nontrivial
-    canonical representatives of the group."""
+    canonical representatives of the group, least as integers."""
     if not gens:
         return LocalField(v), 1
     degree = 1 << len(gens)
@@ -234,14 +242,12 @@ def completion_over(v: Place, gens) -> tuple[LocalField, int]:
             return LocalField(REAL, (-1,)), degree // 2
         return LocalField(REAL), degree
     p = v.p
-    if p == 2:
-        group, unramified = dyadic_subgroup(gens), 5
-    else:
-        group = {_odd_class_rep(h, p) for h in _odd_subgroup(gens, p)}
-        unramified = _odd_nonresidue(p)
+    group = _kummer_group(gens, p)
+    unramified = 2 if p == 2 else 1  # the unramified non-square class
     f = 2 if unramified in group else 1
     e = len(group) // f
-    local_gens = sorted(group - {1})[:len(group).bit_length() - 1]
+    base = _base_reps(p)
+    local_gens = sorted(base[i] for i in group if i)[:len(group).bit_length() - 1]
     return LocalField(v, tuple(local_gens), e, f), degree // (e * f)
 
 
@@ -261,38 +267,49 @@ def completions(primes, gens=()) -> Iterator[tuple[Place, LocalField, int]]:
 # ----------------------------------------------------------------------
 # Hilbert symbols.
 #
-# Over Q_p a symbol is (-1)^t, with t a bit formula on the class pairs of
-# its arguments: the tame formula for p odd, Serre's formula for p = 2
-# (Serre, A Course in Arithmetic, III.1.2).  `hilbert_symbol` evaluates
-# symbols through these two helpers, `form_class_at` through tables of them.
+# Over Q_p a symbol is (-1)^t, with t read from a table indexed by the
+# class numbers of its arguments: the tame formula for p odd (one table per
+# eps), Serre's formula for p = 2 (Serre, A Course in Arithmetic, III.1.2).
+# `hilbert_symbol` and `form_class_at` both read these tables.
 
 
 def _tame_exponent(alpha: int, chi_u: int, beta: int, chi_w: int, eps: int) -> int:
-    """t with (a, b)_p = (-1)^t, p odd, from the class pairs (alpha, chi_u)
-    and (beta, chi_w) of a = p^alpha u and b = p^beta w, where
-    (u|p) = (-1)^chi_u: the tame formula
+    """t with (a, b)_p = (-1)^t, p odd, for a = p^alpha u and b = p^beta w
+    with (u|p) = (-1)^chi_u and (w|p) = (-1)^chi_w: the tame formula
     (-1)^(alpha beta eps) (u|p)^beta (w|p)^alpha with eps = (p - 1)/2 mod 2."""
     return (alpha & beta & eps) ^ (chi_u & beta) ^ (chi_w & alpha)
 
 
 def _serre_exponent(alpha: int, u: int, beta: int, w: int) -> int:
-    """t with (a, b)_2 = (-1)^t from the class pairs (alpha, u mod 8) and
-    (beta, w mod 8) of a = 2^alpha u and b = 2^beta w: Serre's formula
-    t = eps(u) eps(w) + alpha omega(w) + beta omega(u) mod 2, with
-    eps(x) = (x - 1)/2 and omega(x) = (x^2 - 1)/8."""
+    """t with (a, b)_2 = (-1)^t for a = 2^alpha u and b = 2^beta w, u and w
+    odd: Serre's formula t = eps(u) eps(w) + alpha omega(w) + beta omega(u)
+    mod 2, with eps(x) = (x - 1)/2 and omega(x) = (x^2 - 1)/8."""
     t = (u - 1) // 2 * ((w - 1) // 2) + alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
     return t % 2
 
 
-def _qp_symbol(a: Rat, b: Rat, p: int) -> int:
-    """(a, b)_p over Q_p for a prime p: Serre's formula for p = 2, the tame
-    formula for p odd, on the class pairs of a and b.  p is taken as prime
-    (it comes from a factorization or a `Place`) and is not re-tested."""
+_TAME_TABLES = tuple(
+    tuple(tuple(_tame_exponent(i >> 1, i & 1, j >> 1, j & 1, eps) for j in range(4))
+          for i in range(4))
+    for eps in (0, 1))
+_SERRE_TABLE = tuple(
+    tuple(_serre_exponent(i >> 2, 2 * (i & 3) + 1, j >> 2, 2 * (j & 3) + 1) for j in range(8))
+    for i in range(8))
+
+
+def _symbol_table(p: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The exponent table of (i, j)_p on class numbers, and the number of -1."""
     if p == 2:
-        t = _serre_exponent(*_dyadic_pair(a), *_dyadic_pair(b))
-    else:
-        t = _tame_exponent(*_odd_class_pair(a, p), *_odd_class_pair(b, p), (p - 1) // 2 % 2)
-    return -1 if t else 1
+        return _SERRE_TABLE, 3
+    eps = (p - 1) >> 1 & 1
+    return _TAME_TABLES[eps], eps
+
+
+def _qp_symbol(a: int, b: int, p: int) -> int:
+    """(a, b)_p over Q_p for nonzero integers a, b and a prime p: one table
+    lookup on their class numbers.  p is taken as prime (it comes from a
+    factorization or a `Place`) and is not re-tested."""
+    return -1 if _symbol_table(p)[0][_class_index(a, p)][_class_index(b, p)] else 1
 
 
 def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
@@ -310,47 +327,17 @@ def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
         return 1
     if E.is_real:
         return -1 if a < 0 and b < 0 else 1
-    return _qp_symbol(a, b, E.base.p)
+    return _qp_symbol(_integral(a), _integral(b), E.base.p)
 
 
-def _symbol_split_at(a: Rat, b: Rat, primes) -> bool:
-    """Whether (a, b)_p = +1 at every prime p of `primes`."""
+def _symbol_split_at(a: int, b: int, primes) -> bool:
+    """Whether (a, b)_p = +1 at every prime p of `primes`, a and b nonzero
+    integers."""
     return all(_qp_symbol(a, b, p) == 1 for p in primes)
 
 
 # ----------------------------------------------------------------------
 # Class histograms: forms over Q_p as elements of Z[Q_p*/Q_p*^2].
-#
-# A class is numbered so that multiplying classes is XOR of their numbers:
-# 2 v + chi for p odd (the pair (v, chi)), and 4 v + (u mod 8) // 2 for
-# p = 2 (u mod 8 = 1, 3, 5, 7 gives 0, 1, 2, 3, and the units mod 8 form
-# (Z/2)^2 under that numbering).  -1 is number eps = (p - 1)/2 mod 2 for
-# p odd and 3 for p = 2.  The tables hold the exponent t of
-# (i, j)_p = (-1)^t for every pair of class numbers, from the tame formula
-# (one table per eps) and Serre's formula.
-
-_TAME_TABLES = tuple(
-    tuple(tuple(_tame_exponent(i >> 1, i & 1, j >> 1, j & 1, eps) for j in range(4))
-          for i in range(4))
-    for eps in (0, 1))
-_SERRE_TABLE = tuple(
-    tuple(_serre_exponent(i >> 2, 2 * (i & 3) + 1, j >> 2, 2 * (j & 3) + 1) for j in range(8))
-    for i in range(8))
-
-
-def _class_index(a: int, p: int) -> int:
-    """The number of the class of the nonzero integer a in Q_p*/Q_p*^2.  An
-    integer prime to p is a unit: one Euler criterion for p odd, a residue
-    mod 8 for p = 2.  Any other integer goes through the valuation."""
-    if p == 2:
-        if a & 1:
-            return a % 8 >> 1
-        v, u = _valuation_unit(2, a)
-        return (v & 1) << 2 | u % 8 >> 1
-    if a % p:
-        return 0 if pow(a, (p - 1) >> 1, p) == 1 else 1
-    v, u = _valuation_unit(p, a)
-    return (v & 1) << 1 | (0 if pow(u, (p - 1) >> 1, p) == 1 else 1)
 
 
 def _class_histogram(entries, p: int) -> list[int]:
@@ -381,14 +368,9 @@ def _histogram_class(hist: list[int], E: LocalField) -> LocalFormClass:
     m entries of class a, appended to a prefix of product P, contribute
     (P, a)^m (a, -1)^(m(m-1)/2), since (a, a) = (a, -1).  Each factor is one
     table lookup.  Over an even-degree completion every symbol is +1, so
-    only the prefix is kept.  The final prefix, times (-1)^(n(n-1)/2) and
-    reduced modulo the adjoined square roots, is the discriminant."""
-    p = E.base.p
-    if p == 2:
-        table, minus_one = _SERRE_TABLE, 3
-    else:
-        minus_one = (p - 1) >> 1 & 1
-        table = _TAME_TABLES[minus_one]
+    only the prefix is kept.  The final prefix, times (-1)^(n(n-1)/2), is
+    the discriminant's class number, and `E.reps` gives its representative."""
+    table, minus_one = _symbol_table(E.base.p)
     symbols = E.degree & 1
     n = t = prefix = 0
     for i, m in enumerate(hist):
@@ -400,8 +382,7 @@ def _histogram_class(hist: list[int], E: LocalField) -> LocalFormClass:
                 prefix ^= i
     if n * (n - 1) >> 1 & 1:
         prefix ^= minus_one
-    pair = (prefix >> 2, 2 * (prefix & 3) + 1) if p == 2 else (prefix >> 1, prefix & 1)
-    return LocalFormClass(n, _class_rep(pair, E), -1 if t else 1, None)
+    return LocalFormClass(n, E.reps[prefix], -1 if t else 1, None)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,38 @@ from fractions import Fraction
 from functools import cache
 
 from wittcert.arith import DomainError, squarefree_rep
-from wittcert.localfields import DYADIC_CLASSES, LocalField, dyadic_class, dyadic_subgroup
+from wittcert.localfields import LocalField
+
+
+# ----------------------------------------------------------------------
+# 2-adic square classes by plain arithmetic, apart from the engine's class
+# map: strip the 2s, then take the unit mod 8.
+
+# Canonical representatives of Q_2*/Q_2*^2, in a fixed order.
+DYADIC_CLASSES = (1, 3, 5, 7, 2, 6, 10, 14)
+
+
+def two_adic_class(r) -> int:
+    """Canonical representative of the square class of the nonzero rational
+    r in Q_2: 2^(v mod 2) times the unit part of n d mod 8, for r = n/d."""
+    q = Fraction(r)
+    if q == 0:
+        raise DomainError("square class of 0")
+    n = q.numerator * q.denominator
+    v = 0
+    while n % 2 == 0:
+        n //= 2
+        v += 1
+    return (2 if v % 2 else 1) * (n % 8)
+
+
+def two_adic_subgroup(gens) -> frozenset[int]:
+    """Subgroup of Q_2*/Q_2*^2 generated by the given rationals."""
+    group = {1}
+    for g in gens:
+        c = two_adic_class(g)
+        group |= {two_adic_class(c * h) for h in group}
+    return frozenset(group)
 
 
 # ----------------------------------------------------------------------
@@ -536,7 +567,7 @@ def _ramified_root(c1: int, c2: int):
     t = _exact_sqrt(Fraction(c1 * c2, prod))
     candidates.append((prod, (Fraction(0), Fraction(0), Fraction(0), Fraction(1) / t)))
     for r, vec in candidates:
-        if dyadic_class(r) not in (1, 5):
+        if two_adic_class(r) not in (1, 5):
             return r, vec
     raise DomainError("no ramified quadratic subextension found")
 
@@ -611,7 +642,7 @@ def _model_for(subgroup: frozenset[int]) -> DyadicModel:
 def _dyadic_model(E: LocalField) -> DyadicModel:
     if E.base.is_real or E.base.p != 2:
         raise DomainError("dyadic residue search needs residue characteristic 2")
-    return _model_for(dyadic_subgroup(E.gens))
+    return _model_for(two_adic_subgroup(E.gens))
 
 
 def residue_square_test(a, E: LocalField) -> bool:
@@ -627,6 +658,6 @@ def residue_hilbert_symbol(a, b, E: LocalField) -> int:
     the ternary residue search modulo pi^(2e+3)."""
     if Fraction(a) == 0 or Fraction(b) == 0:
         raise DomainError("hilbert symbol of 0")
-    # dyadic_class absorbs the sign into the unit part mod 8.
-    ca, cb = dyadic_class(a), dyadic_class(b)
+    # two_adic_class absorbs the sign into the unit part mod 8.
+    ca, cb = two_adic_class(a), two_adic_class(b)
     return 1 if _dyadic_model(E).ternary_isotropic(1, -ca, -cb) else -1

@@ -10,7 +10,7 @@ forms replaced, as reference implementations for those closed forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import isqrt
 
 from wittcert.arith import _class_product, _valuation_unit, legendre, prime_support, squarefree_rep
@@ -192,6 +192,49 @@ def oracle_witt_index(entries, heights=(12, 60, 200)):
 
 
 # ----------------------------------------------------------------------
+# Square-class numbers by plain arithmetic.
+
+
+def class_number(a: int, p: int) -> int:
+    """The number of the class of the nonzero integer a in Q_p*/Q_p*^2 as
+    `localfields` numbers classes, computed apart from the engine: strip the
+    factors p, then 4 (v mod 2) + (u mod 8) // 2 for p = 2 and
+    2 (v mod 2) + chi for p odd, chi = 1 iff Euler's criterion finds the
+    unit part u a non-residue."""
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    if p == 2:
+        return 4 * (v % 2) + a % 8 // 2
+    return 2 * (v % 2) + (pow(a, (p - 1) // 2, p) != 1)
+
+
+def kummer_group(gens, p: int) -> frozenset[int]:
+    """The class numbers of the subgroup of Q_p*/Q_p*^2 generated by the
+    nonzero integers `gens`."""
+    group = {0}
+    for g in gens:
+        group |= {class_number(g, p) ^ h for h in group}
+    return frozenset(group)
+
+
+def least_member(i: int, p: int) -> int:
+    """The least positive integer of class number i: the least positive
+    unit of its unit class, times p when the valuation is odd (p^3 times a
+    unit of the class is larger)."""
+    odd = 4 if p == 2 else 2
+    u = next(u for u in count(1) if u % p and class_number(u, p) == i % odd)
+    return u * p if i & odd else u
+
+
+def least_coset_member(i: int, group, p: int) -> int:
+    """The canonical representative of base class i in a completion with
+    Kummer group `group`: of the classes in the coset of i, the one with the
+    least number, given by its least positive integer."""
+    return least_member(min(i ^ h for h in group), p)
+
+
 # Local residue-search oracles.
 
 

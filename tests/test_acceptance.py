@@ -6,7 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 import random
 import time
 
-from oracles import check_witness, isotropic_witness
+from oracles import check_witness, isotropic_witness, kummer_group, least_member
 from wittcert import forms as forms_mod
 from wittcert.arith import prime_support, squarefree_rep
 from wittcert.extensions import make_tower
@@ -23,11 +23,9 @@ from wittcert.forms import (
 )
 from wittcert.involutions import norm_form, quaternion
 from wittcert.localfields import (
-    DYADIC_CLASSES,
     LocalField,
     Place,
     REAL,
-    dyadic_subgroup,
     hilbert_symbol,
     rationals_at,
 )
@@ -87,18 +85,19 @@ def test_criterion_2_hilbert_symbol_laws():
     fields = [LocalField(REAL), LocalField(REAL, gens=(-1,)),
               rationals_at(Place(2)), rationals_at(Place(3)),
               rationals_at(Place(5)), rationals_at(Place(7))]
-    for c in DYADIC_CLASSES[1:]:
-        sub = dyadic_subgroup([c])
-        f = 2 if 5 in sub else 1
+    # The 2-adic classes by number: the unramified one, of 5, is number 2.
+    dyadic = [least_member(i, 2) for i in range(1, 8)]
+    for c in dyadic:
+        f = 2 if c == 5 else 1
         fields.append(LocalField(Place(2), (c,), 2 // f, f))
     quartics = []
     import itertools
-    for c1, c2 in itertools.combinations(DYADIC_CLASSES[1:], 2):
-        sub = dyadic_subgroup([c1, c2])
-        if len(sub) == 4 and sub not in [q[0] for q in quartics]:
-            f = 2 if 5 in sub else 1
-            gens = tuple(sorted(sub - {1})[:2])
-            quartics.append((sub, LocalField(Place(2), gens, 4 // f, f)))
+    for c1, c2 in itertools.combinations(dyadic, 2):
+        group = kummer_group([c1, c2], 2)
+        if len(group) == 4 and group not in [q[0] for q in quartics]:
+            f = 2 if 2 in group else 1
+            gens = tuple(sorted(least_member(i, 2) for i in group if i)[:2])
+            quartics.append((group, LocalField(Place(2), gens, 4 // f, f)))
     fields.extend(E for _, E in quartics)
     fields.append(LocalField(Place(3), (3,), 2, 1))
     fields.append(LocalField(Place(7), (3,), 1, 2))

@@ -15,8 +15,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import form_class_by_symbols
-from wittcert.arith import legendre, squarefree_rep
+from oracles import class_number, form_class_by_symbols
+from wittcert.arith import squarefree_rep
 from wittcert.forms import qform
 from wittcert.localfields import (
     REAL,
@@ -29,19 +29,6 @@ from wittcert.localfields import (
     form_class_at,
     rationals_at,
 )
-
-
-def class_number(a: int, p: int) -> int:
-    """The class number of a in Q_p*/Q_p*^2 as `localfields` numbers
-    classes, computed apart from the engine: 2 v + chi for p odd (chi = 1
-    iff the unit part is a nonresidue), 4 v + (u mod 8) // 2 for p = 2."""
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    if p == 2:
-        return 4 * (v % 2) + a % 8 // 2
-    return 2 * (v % 2) + (legendre(a, p) == -1)
 
 
 def representatives(p: int, per_class: int = 3) -> list[list[int]]:

@@ -16,11 +16,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import kummer_group, least_member
 from test_acceptance import _generate_lemma24_instances
 from wittcert import forms, localfields
 from wittcert.cli import main
 from wittcert.arith import _class_product, prime_support, squarefree_rep
-from wittcert.extensions import aniso_dim_over, make_tower, places_over
+from wittcert.extensions import aniso_dim_over, make_tower
 from wittcert.forms import (
     QForm,
     in_G,
@@ -36,18 +37,7 @@ from wittcert.forms import (
     tensor,
     witt_decompose,
 )
-from wittcert.localfields import (
-    DYADIC_CLASSES,
-    REAL,
-    Place,
-    _odd_class_pair,
-    _odd_class_rep,
-    _odd_subgroup,
-    completion_over,
-    completions,
-    dyadic_class,
-    dyadic_subgroup,
-)
+from wittcert.localfields import REAL, Place, completion_over, completions
 from wittcert.involutions import quaternion
 from wittcert.similitude import lemma24_certificate, thm6_pipeline
 
@@ -62,31 +52,34 @@ class TestFiberRule:
 
     def test_dyadic(self):
         v = Place(2)
-        for gens in self.generator_sets([c for c in DYADIC_CLASSES if c != 1]):
+        for gens in self.generator_sets([least_member(i, 2) for i in range(1, 8)]):
             E, mult = completion_over(v, gens)
-            classes = set(gens) | {dyadic_class(gens[0] * gens[-1])} - {1}
-            # The 2-adic unramified quadratic extension is Q2(sqrt 5).
-            assert E.f == (2 if 5 in classes else 1), gens
+            group = kummer_group(gens, 2)
+            # The 2-adic unramified quadratic extension is Q2(sqrt 5), and 5
+            # is class number 2.
+            assert E.f == (2 if 2 in group else 1), gens
             assert E.e * E.f == 1 << len(gens) and mult == 1, gens
-            assert dyadic_subgroup(E.gens) == dyadic_subgroup(gens), gens
+            assert E.kummer == kummer_group(E.gens, 2) == group, gens
+            # The least nontrivial representatives as integers: Q2(sqrt 2,
+            # sqrt 3), not Q2(sqrt 3, sqrt 2).
+            assert E.gens == tuple(sorted(least_member(i, 2) for i in group if i)[:len(gens)])
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_odd(self, p):
         v = Place(p)
-        reps = [_odd_class_rep(pair, p) for pair in ((0, 1), (1, 0), (1, 1))]
+        reps = [least_member(i, p) for i in (1, 2, 3)]
         for gens in self.generator_sets(reps):
             E, mult = completion_over(v, gens)
-            pairs = {_odd_class_pair(g, p) for g in gens}
-            if len(gens) == 2:
-                pairs.add(_odd_class_pair(_class_product(*gens), p))
-            # Ramified iff a class of odd valuation is adjoined; inert iff the
-            # unramified non-square class is.
-            assert E.e == (2 if any(val for val, _ in pairs) else 1), gens
-            assert E.f == (2 if (0, 1) in pairs else 1), gens
+            group = kummer_group(gens, p)
+            # Ramified iff a class of odd valuation (number 2 or 3) is
+            # adjoined; inert iff the unramified non-square class (number 1) is.
+            assert E.e == (2 if any(i & 2 for i in group) else 1), gens
+            assert E.f == (2 if 1 in group else 1), gens
             assert E.degree * mult == 1 << len(gens), gens
-            assert _odd_subgroup(E.gens, p) == _odd_subgroup(gens, p), gens
+            assert E.kummer == kummer_group(E.gens, p) == group, gens
+            assert E.gens == tuple(sorted(least_member(i, p) for i in group if i)[:len(gens)])
 
-    def test_walk_matches_places_over(self):
+    def test_walk_matches_the_fiber_rule(self):
         rng = random.Random(91)
         for _ in range(40):
             M = make_tower([rng.choice([-1, 1]) * rng.randint(2, 60)
@@ -97,7 +90,8 @@ class TestFiberRule:
             primes = [v.p for v, _, _ in walk[1:]]
             assert primes == sorted(phi.support | prime_support(M.generators))
             for v, E, mult in walk:
-                assert places_over(M, v).completions == ((E, mult),)
+                assert completion_over(v, M.generators) == (E, mult)
+                assert E.degree * mult == M.degree
 
 
 def spy(monkeypatch, fn, calls):

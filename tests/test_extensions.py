@@ -12,11 +12,10 @@ from wittcert.extensions import (
     make_tower,
     norm_member,
     norm_member_tower,
-    places_over,
     witt_index_over,
 )
 from wittcert.forms import pfister, qform, tensor, witt_decompose, witt_equivalent, scale
-from wittcert.localfields import Place, REAL
+from wittcert.localfields import Place, REAL, completion_over
 
 
 def random_tower(rng, max_gens=2):
@@ -49,30 +48,24 @@ class TestMakeTower:
         assert make_tower([-3, 3]).generators == (3, -3)
 
 
-class TestPlacesOver:
+class TestCompletionOver:
     def test_real_fiber(self):
-        f = places_over(make_tower([-1]), REAL)
-        (E, mult), = f.completions
+        E, mult = completion_over(REAL, make_tower([-1]).generators)
         assert E.is_complex and mult == 1
-        f = places_over(make_tower([2, 3]), REAL)
-        (E, mult), = f.completions
+        E, mult = completion_over(REAL, make_tower([2, 3]).generators)
         assert E.is_real and mult == 4
-        f = places_over(make_tower([2, -3]), REAL)
-        (E, mult), = f.completions
+        E, mult = completion_over(REAL, make_tower([2, -3]).generators)
         assert E.is_complex and mult == 2
 
     def test_split_inert_ramified(self):
         # 5 = 4^2 mod 11: split.
-        f = places_over(make_tower([5]), Place(11))
-        (E, mult), = f.completions
+        E, mult = completion_over(Place(11), make_tower([5]).generators)
         assert E.degree == 1 and mult == 2
         # 5 has odd valuation at 5: ramified.
-        f = places_over(make_tower([5]), Place(5))
-        (E, mult), = f.completions
+        E, mult = completion_over(Place(5), make_tower([5]).generators)
         assert (E.e, E.f, mult) == (2, 1, 1)
         # 2 is a nonresidue mod 5: unramified quadratic.
-        f = places_over(make_tower([2]), Place(5))
-        (E, mult), = f.completions
+        E, mult = completion_over(Place(5), make_tower([2]).generators)
         assert (E.e, E.f, mult) == (1, 2, 1)
 
     def test_fiber_degree_bookkeeping(self):
@@ -81,15 +74,13 @@ class TestPlacesOver:
             M = random_tower(rng)
             for p in (None, 2, 3, 5, 7, 11, 13, 17):
                 v = REAL if p is None else Place(p)
-                fib = places_over(M, v)
-                assert sum(E.degree * m for E, m in fib.completions) == M.degree
+                E, mult = completion_over(v, M.generators)
+                assert E.degree * mult == M.degree
 
     def test_dyadic_quartic_types(self):
-        f = places_over(make_tower([5, 2]), Place(2))
-        (E, mult), = f.completions
+        E, mult = completion_over(Place(2), make_tower([5, 2]).generators)
         assert (E.e, E.f) == (2, 2) and mult == 1
-        f = places_over(make_tower([-1, 2]), Place(2))
-        (E, mult), = f.completions
+        E, mult = completion_over(Place(2), make_tower([-1, 2]).generators)
         assert (E.e, E.f) == (4, 1)
 
 

@@ -1,18 +1,33 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from dyadic_oracle import build_model, residue_hilbert_symbol, residue_square_test
-from oracles import hilbert_oracle_odd, hilbert_oracle_q2, square_mod_2_15
+from dyadic_oracle import (
+    DYADIC_CLASSES,
+    build_model,
+    residue_hilbert_symbol,
+    residue_square_test,
+    two_adic_subgroup,
+)
+from oracles import (
+    class_number,
+    hilbert_oracle_odd,
+    hilbert_oracle_q2,
+    hilbert_symbol_closed_form,
+    kummer_group,
+    least_coset_member,
+    least_member,
+    square_mod_2_15,
+)
 from wittcert.arith import DomainError, prime_support, squarefree_rep
 from wittcert.localfields import (
-    DYADIC_CLASSES,
     REAL,
     LocalField,
     LocalFormClass,
     Place,
-    dyadic_subgroup,
+    completion_over,
     form_class_at,
     hilbert_symbol,
     local_aniso_dim,
@@ -30,7 +45,7 @@ C = LocalField(REAL, gens=(-1,))
 def all_quartic_subgroups():
     out = set()
     for c1, c2 in itertools.combinations(DYADIC_CLASSES[1:], 2):
-        sub = dyadic_subgroup([c1, c2])
+        sub = two_adic_subgroup([c1, c2])
         if len(sub) == 4:
             out.add(sub)
     return sorted(out, key=sorted)
@@ -44,7 +59,7 @@ def dyadic_completion(sub) -> LocalField:
 
 ALL_DYADIC_COMPLETIONS = (
     [Q2]
-    + [dyadic_completion(dyadic_subgroup([c])) for c in DYADIC_CLASSES[1:]]
+    + [dyadic_completion(two_adic_subgroup([c])) for c in DYADIC_CLASSES[1:]]
     + [dyadic_completion(sub) for sub in all_quartic_subgroups()]
 )
 
@@ -198,6 +213,75 @@ class TestLocalSquareClass:
             a = rng.randint(-100, 100) or 1
             for E in fields:
                 assert (local_square_class(a, E) == 1) == residue_square_test(a, E), (a, str(E))
+
+
+def odd_completions(p: int) -> list[LocalField]:
+    """Q_p and its completions for every Kummer group of one or two
+    generators, the generators taken among the least members of the classes."""
+    reps = [least_member(i, p) for i in (1, 2, 3)]
+    gen_sets = [()] + [(g,) for g in reps] + list(itertools.combinations(reps, 2))
+    return [completion_over(Place(p), gens)[0] for gens in gen_sets]
+
+
+# Rationals n/d over a small box, with 2, 3, 5 and 7 in both n and d.
+BOX = [Fraction(n, d) for n in range(-10, 11) if n for d in range(1, 9)]
+SECOND = [Fraction(n, d) for n in (-6, -3, -2, -1, 1, 2, 3, 5, 7) for d in (1, 2, 3, 4)]
+
+
+class TestRationalArguments:
+    """`hilbert_symbol` and `local_square_class` on n/d equal their values on
+    the integer n d, and the class-number oracles, over every dyadic
+    completion and Q_3, Q_5, Q_7 with their quadratic extensions."""
+
+    FIELDS = ALL_DYADIC_COMPLETIONS + [E for p in (3, 5, 7) for E in odd_completions(p)
+                                       if E.degree <= 2]
+
+    def test_hilbert_symbol(self):
+        assert len(self.FIELDS) == 15 + 3 * 4
+        for E in self.FIELDS:
+            for a in BOX:
+                n = a.numerator * a.denominator
+                for b in SECOND:
+                    m = b.numerator * b.denominator
+                    expected = hilbert_symbol_closed_form(a, b, E)
+                    assert hilbert_symbol(a, b, E) == hilbert_symbol(n, m, E) == expected, (
+                        str(E), a, b)
+
+    def test_local_square_class(self):
+        for E in self.FIELDS:
+            p = E.base.p
+            group = kummer_group(E.gens, p)
+            for a in BOX:
+                n = a.numerator * a.denominator
+                expected = least_coset_member(class_number(n, p), group, p)
+                assert local_square_class(a, E) == local_square_class(n, E) == expected, (
+                    str(E), a)
+
+
+class TestRepresentativeTables:
+    """The square class of each base class is the least member of its coset
+    modulo the Kummer group, as the oracle computes it, over every dyadic
+    completion and every Kummer group of one or two generators at odd p."""
+
+    @staticmethod
+    def check(E, p):
+        group = kummer_group(E.gens, p)
+        assert E.kummer == group, str(E)
+        for i in range(8 if p == 2 else 4):
+            expected = least_coset_member(i, group, p)
+            for k in (1, 3, 4):  # other members of the class: times k^2
+                assert local_square_class(least_member(i, p) * k * k, E) == expected, (str(E), i)
+
+    def test_every_dyadic_completion(self):
+        for E in ALL_DYADIC_COMPLETIONS:
+            self.check(E, 2)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_odd_kummer_group(self, p):
+        fields = odd_completions(p)
+        assert [E.degree for E in fields] == [1, 2, 2, 2, 4, 4, 4]
+        for E in fields:
+            self.check(E, p)
 
 
 class TestDyadicSquareTest:

@@ -8,10 +8,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import form_class_by_symbols, hilbert_symbol_closed_form
+from oracles import class_number, form_class_by_symbols, hilbert_symbol_closed_form, least_member
 from wittcert import arith, codecs, forms
 from wittcert.arith import _class_product, prime_support, squarefree_rep
-from wittcert.extensions import aniso_dim_over, make_tower, places_over
+from wittcert.extensions import aniso_dim_over, make_tower
 from wittcert.forms import (
     QForm,
     in_In,
@@ -30,11 +30,11 @@ from wittcert.localfields import (
     REAL,
     LocalField,
     Place,
-    _dyadic_pair,
-    _odd_class_pair,
-    _odd_class_rep,
-    _serre_exponent,
-    _tame_exponent,
+    _SERRE_TABLE,
+    _TAME_TABLES,
+    _class_index,
+    _qp_symbol,
+    completion_over,
     form_class_at,
     hilbert_symbol,
     local_aniso_dim,
@@ -94,7 +94,7 @@ class TestPrefixHasse:
 
 
 def completions(rng, towers):
-    """Every distinct completion that `places_over` yields for random towers
+    """Every distinct completion that `completion_over` yields for random towers
     of degree 2 and 4, at the real place, 2, 3, 5, 7 and the primes of the
     generators."""
     out = {}
@@ -102,8 +102,7 @@ def completions(rng, towers):
         M = make_tower([squarefree_rep(rng.choice([-1, 1]) * rng.randint(2, 60))
                         for _ in range(rng.randint(1, 2))])
         for v in [REAL] + [Place(p) for p in sorted(prime_support(M.generators) | {3, 5, 7})]:
-            for E, _mult in places_over(M, v).completions:
-                out[E] = None
+            out[completion_over(v, M.generators)[0]] = None
     return list(out)
 
 
@@ -132,38 +131,37 @@ class TestClassKernel:
                 assert (cls.disc, cls.hasse) == all_pairs_class(es, E), (str(E), es)
 
 
-ODD_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
 class TestClassSymbols:
-    """The class-level symbol formulas against the closed form written on
+    """The symbol tables on class numbers against the closed form written on
     valuations and units, on every pair of square classes."""
 
     def test_serre_formula_on_all_dyadic_class_pairs(self):
         Q2 = rationals_at(Place(2))
-        pairs = {a: _dyadic_pair(a) for a in DYADIC_CLASSES}
-        assert len(set(pairs.values())) == 8
-        for a, x in pairs.items():
-            for b, y in pairs.items():
+        reps = [least_member(i, 2) for i in range(8)]
+        assert tuple(reps) == DYADIC_CLASSES == Q2.reps
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps):
                 expected = hilbert_symbol_closed_form(a, b, Q2)
-                assert (-1) ** _serre_exponent(*x, *y) == expected, (a, b)
-                assert hilbert_symbol(a, b, Q2) == expected
+                assert (-1) ** _SERRE_TABLE[i][j] == expected, (a, b)
+                assert _qp_symbol(a, b, 2) == hilbert_symbol(a, b, Q2) == expected
                 # Another representative of each class: times 4 and 9.
-                assert _dyadic_pair(4 * a) == x and _dyadic_pair(9 * b) == y
+                assert _class_index(4 * a, 2) == class_number(4 * a, 2) == i
+                assert _class_index(9 * b, 2) == class_number(9 * b, 2) == j
 
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 10007, 10009])
     def test_tame_formula_on_all_odd_class_pairs(self, p):
         E = rationals_at(Place(p))
         eps = (p - 1) // 2 % 2
-        reps = {pair: _odd_class_rep(pair, p) for pair in ODD_PAIRS}
-        assert [_odd_class_pair(a, p) for a in reps.values()] == ODD_PAIRS
-        for x, a in reps.items():
-            for y, b in reps.items():
+        reps = [least_member(i, p) for i in range(4)]
+        assert tuple(reps) == E.reps
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps):
                 expected = hilbert_symbol_closed_form(a, b, E)
-                assert (-1) ** _tame_exponent(*x, *y, eps) == expected, (a, b)
-                assert hilbert_symbol(a, b, E) == expected
+                assert (-1) ** _TAME_TABLES[eps][i][j] == expected, (a, b)
+                assert _qp_symbol(a, b, p) == hilbert_symbol(a, b, E) == expected
                 # Another representative of each class: times p^2 and 4.
-                assert _odd_class_pair(a * p * p, p) == x and _odd_class_pair(4 * b, p) == y
+                assert _class_index(a * p * p, p) == class_number(a * p * p, p) == i
+                assert _class_index(4 * b, p) == class_number(4 * b, p) == j
 
 
 class TestClassProduct:

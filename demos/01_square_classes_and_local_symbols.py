@@ -14,7 +14,6 @@ from wittcert import (
     local_square_class,
     padic_valuation,
     prime_support,
-    rationals_at,
     squarefree_rep,
 )
 from fractions import Fraction
@@ -26,12 +25,12 @@ print(f"  v_3(1/9) = {padic_valuation(3, Fraction(1, 9))}")
 print(f"  prime_support([15, -2]) = {sorted(prime_support([15, -2]))}")
 
 print("\n=== Square classes of completions ===")
-Q2, Q5 = rationals_at(Place(2)), rationals_at(Place(5))
+Q2, Q5 = LocalField(Place(2)), LocalField(Place(5))
 print(f"  class of 2 in Q_5: {local_square_class(2, Q5)}   (2 is a nonresidue mod 5)")
 print(f"  class of 4 in Q_5: {local_square_class(4, Q5)}")
 print(f"  class of 17 in Q_2: {local_square_class(17, Q2)}  (units = 1 mod 8 are 2-adic squares)")
 print(f"  class of 5 in Q_2: {local_square_class(5, Q2)}   (5 is not a 2-adic square)")
-E_sqrt5 = LocalField(Place(2), gens=(5,), e=1, f=2)
+E_sqrt5 = LocalField(Place(2), gens=(5,))
 print(f"  class of 5 in Q_2(sqrt 5): {local_square_class(5, E_sqrt5)}   (Kummer: a square once adjoined)")
 
 print("\n=== Hilbert symbols ===")
@@ -42,7 +41,7 @@ print(f"  (-1,-1)_R = {hilbert_symbol(-1, -1, R)}")
 
 print("\n=== Product formula ===")
 for a, b in [(2, 5), (-1, -1), (3, 7), (-6, 15)]:
-    places = [R] + [rationals_at(Place(p)) for p in sorted(prime_support([a, b]))]
+    places = [R] + [LocalField(Place(p)) for p in sorted(prime_support([a, b]))]
     values = [hilbert_symbol(a, b, E) for E in places]
     names = ["real"] + [str(p) for p in sorted(prime_support([a, b]))]
     prod = 1
@@ -55,6 +54,6 @@ print("\n=== Symbols over extension completions ===")
 # Norm compatibility: (a, b)_E = (a, b)_{Q_2}^[E:Q_2] for rational a, b, so
 # any even-degree extension splits every rational quaternion algebra.
 E_unram = E_sqrt5
-E_quartic = LocalField(Place(2), gens=(3, 5), e=2, f=2)
+E_quartic = LocalField(Place(2), gens=(3, 5))
 print(f"  (-1,-1) over Q_2(sqrt 5):          {hilbert_symbol(-1, -1, E_unram)}")
 print(f"  (-1,-1) over Q_2(sqrt 3, sqrt 5):  {hilbert_symbol(-1, -1, E_quartic)}")

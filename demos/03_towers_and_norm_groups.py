@@ -4,8 +4,8 @@ norm-group membership (with the intersection law for biquadratic towers)."""
 
 from wittcert import (
     REAL,
+    LocalField,
     Place,
-    completion_over,
     is_hyperbolic_over,
     make_tower,
     norm_member,
@@ -25,10 +25,10 @@ for ds in [[], [5], [2, 18], [2, 3]]:
 print("\n=== Place splitting ===")
 M = make_tower([5])
 for v in [REAL, Place(5), Place(11), Place(2), Place(3)]:
-    E, mult = completion_over(v, M.generators)
-    print(f"  {M} at {v}: {E} (x{mult})")
+    E = LocalField(v, M.generators)
+    print(f"  {M} at {v}: {E} (x{M.degree // E.degree})")
 M4 = make_tower([-1, 2])
-E, mult = completion_over(Place(2), M4.generators)
+E = LocalField(Place(2), M4.generators)
 print(f"  {M4} at 2: one completion with e = {E.e}, f = {E.f} (totally ramified quartic)")
 
 print("\n=== Base change ===")

@@ -14,11 +14,9 @@ from .localfields import (
     LocalField,
     LocalFormClass,
     Place,
-    completion_over,
     hilbert_symbol,
     local_aniso_dim,
     local_square_class,
-    rationals_at,
 )
 from .forms import (
     HYPERBOLIC_PLANE,

@@ -3,8 +3,8 @@
 Everything downstream works with square classes: nonzero square-free
 integers representing elements of Q*/Q*^2.  This module provides the
 canonicalisation (`squarefree_rep`), p-adic valuations and prime support,
-backed by exact integer factorization (trial division with a Miller-Rabin /
-Pollard-Brent fallback for large cofactors).
+backed by exact integer factorization below 3.3 * 10^24 (trial division,
+then Miller-Rabin / Pollard-Brent for large cofactors).
 """
 
 from __future__ import annotations
@@ -16,12 +16,25 @@ Rat = int | Fraction
 
 _TRIAL_BOUND = 100_000
 
-# Deterministic Miller-Rabin witnesses, exact for n < 3.3 * 10^24 (OEIS A014233).
+# Miller-Rabin witnesses, deterministic below _EXACT_LIMIT, the least strong
+# pseudoprime to all of them (OEIS A014233); larger numbers are refused.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 class DomainError(ValueError):
     """Raised when an operation's precondition is violated."""
+
+
+class LimitExceeded(DomainError):
+    """Well-formed input beyond a fixed size limit (maps to CLI exit status
+    3)."""
+
+
+def _check_exact(n: int) -> None:
+    if abs(n) >= _EXACT_LIMIT:
+        raise LimitExceeded(f"{n} is too large: exact primality testing and "
+                            f"factorization need |n| < {_EXACT_LIMIT}")
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -48,7 +61,8 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Exact for n below the Miller-Rabin determinism bound; our inputs are desk-scale."""
+    """Whether n is prime, exactly; |n| >= _EXACT_LIMIT raises `LimitExceeded`."""
+    _check_exact(n)
     return _is_probable_prime(n)
 
 
@@ -84,14 +98,16 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-def factorize(n: int, trial_bound: int = _TRIAL_BOUND) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero.
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of |n| as {prime: exponent}; n must be nonzero
+    and |n| < _EXACT_LIMIT (else `LimitExceeded`).
 
-    Trial division up to the bound, then Miller-Rabin / Pollard-Brent for any
-    remaining cofactor.
+    Trial division up to _TRIAL_BOUND, then Miller-Rabin / Pollard-Brent for
+    any remaining cofactor.
     """
     if n == 0:
         raise DomainError("cannot factor 0")
+    _check_exact(n)
     n = abs(n)
     out: dict[int, int] = {}
     m = n
@@ -102,13 +118,13 @@ def factorize(n: int, trial_bound: int = _TRIAL_BOUND) -> dict[int, int]:
     p = 7
     step = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while p * p <= m and p <= trial_bound:
+    while p * p <= m and p <= _TRIAL_BOUND:
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
         p += step[i]
         i = (i + 1) % 8
-    # Large cofactor: probabilistic path.
+    # Large cofactor: Miller-Rabin, exact below the limit, and Pollard-Brent.
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()

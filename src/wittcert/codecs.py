@@ -12,16 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .arith import DomainError
+from .arith import DomainError, LimitExceeded  # noqa: F401 (re-exported)
 
 
 class ParseError(DomainError):
     """Malformed descriptor or payload (maps to CLI exit status 1)."""
-
-
-class LimitExceeded(DomainError):
-    """Well-formed input beyond a fixed size limit (maps to CLI exit status
-    3)."""
 from .extensions import ExtensionTower, make_tower
 from .forms import QForm, orth_sum, pfister, qform, scale, tensor
 from .involutions import InvolutionAlgebra, QuaternionAlg, quaternion

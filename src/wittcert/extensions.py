@@ -7,7 +7,7 @@ keep the place set finite: the discriminant must be a square in M, which for
 a rational discriminant is the Kummer condition "class lies in the subgroup
 generated by the tower generators"; given that, every place outside the prime
 support of (entries + generators, 2, real) is automatically split.  The
-completions at those places, and the fiber rule that gives them, come from
+completions at those places, each a `LocalField` of the generators, come from
 `localfields.completions`; `hyperbolicity_evidence` holds one local verdict
 per completion, and `aniso_dim_over` is their maximum with the Kummer bound.
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 from .arith import DomainError, Rat, _class_product, _squarefree_part
 from .localfields import (
     REAL,
+    LocalField,
     Place,
     _class_histogram,
     _class_index,
@@ -38,7 +39,6 @@ from .localfields import (
     form_class_at,
     hilbert_symbol,
     local_aniso_dim,
-    rationals_at,
 )
 
 # Arason-Pfister runtime check, armed on every Witt decomposition: a form in
@@ -145,7 +145,7 @@ def signature(phi: QForm) -> int:
 def hasse_invariant(phi: QForm, v: Place) -> int:
     """Product of Hilbert symbols (a_i, a_j) over i < j at the completion at
     v, evaluated by `form_class_at` from the entries' class histogram."""
-    return form_class_at(phi.entries, rationals_at(v)).hasse
+    return form_class_at(phi.entries, LocalField(v)).hasse
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Places of Q, local completions of multiquadratic towers, and local form data.
 
-Completions are represented by invariants (base place, adjoined square
-classes, ramification index e, residue degree f), never by element-level
-p-adic arithmetic; elements are global rationals interpreted locally.
+A completion is its base place and tower generators, from whose Kummer
+group `LocalField` derives e, f, canonical generators and a table of class
+representatives; there is no element-level p-adic arithmetic, and elements
+are global rationals interpreted locally.
 
 A class of Q_p*/Q_p*^2 is a number: 2 v + chi for p odd (chi = 1 iff the
 unit part is a non-residue) and 4 v + (u mod 8) // 2 for p = 2, so that the
@@ -27,17 +28,17 @@ law and a table of the closed-form symbols, without calling
 `hilbert_symbol`.  Scaling a form by c translates its histogram by the
 class of c.  No local answer is memoised.
 
-The fiber rule `completion_over` gives the completion of a tower above a
-place from the Kummer group of its generators, and `completions` walks the
-real place, 2 and the primes of an instance in a fixed order.  Every
-local-global decision in `forms`, `extensions` and the CLI reads its local
-classes from that walk, one `form_class_at` per form and completion.
+`completions` walks the completions of a tower above the real place, 2 and
+the primes of an instance in a fixed order.  Every local-global decision in
+`forms`, `extensions` and the CLI reads its local classes from that walk,
+one `form_class_at` per form and completion.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .arith import DomainError, Rat, _valuation_unit, is_prime, prime_support
 
@@ -68,32 +69,47 @@ REAL = Place(None)
 
 @dataclass(frozen=True, slots=True)
 class LocalField:
-    """A completion of a multiquadratic tower at a place of Q, degree <= 4.
+    """The completion of Q(sqrt g : g in gens) at a place above `base`.
 
-    For a finite base, `gens` holds canonical local square-class
-    representatives of the adjoined square roots (only the locally
-    independent ones).  The constructor derives from them `kummer`, the
-    numbers of the classes of Q_p*/Q_p*^2 that are squares in the field,
-    and `reps`, indexed by class number: the canonical representative in
-    the field of that base class, the member of its coset modulo `kummer`
-    with the least number.  Both take no part in equality or output.  For
-    the real base, gens = () is R and gens = (-1,) is C, and both are empty.
+    The constructor takes only the base and nonzero rational generators, and
+    derives the rest once.  For a finite base: `kummer`, the class numbers of
+    the generators' subgroup of Q_p*/Q_p*^2 (order at most 4); f = 2 iff it
+    holds the unramified non-square class, and e = |kummer| / f; `gens`
+    becomes the least one or two nontrivial canonical representatives of
+    `kummer`, in increasing order; `reps[i]` is the canonical representative
+    in the field of base class i, the least-numbered member of its coset.
+    Over R a negative generator gives C, gens (-1,), and otherwise R,
+    gens (); e = f = 1, and `kummer` and `reps` are empty.
     """
 
     base: Place
     gens: tuple[int, ...] = ()
-    e: int = 1
-    f: int = 1
+    e: int = field(init=False)
+    f: int = field(init=False)
     kummer: frozenset[int] = field(init=False, repr=False, compare=False)
     reps: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        gens = tuple(self.gens)
+        if 0 in gens:
+            raise DomainError(f"completion generators must be nonzero: {gens}")
         p = self.base.p
+        e = f = 1
         group, reps = frozenset(), ()
-        if p is not None:
-            group = _kummer_group(self.gens, p)
+        if p is None:
+            if gens:
+                gens = (-1,) if min(gens) < 0 else ()
+        else:
+            group = _kummer_group(gens, p)
             reps = _base_reps(p)
+            gens = ()
             if len(group) > 1:
+                if len(group) > 4:
+                    raise DomainError(f"generators {self.gens} give a completion of "
+                                      f"degree {len(group)} over Q{p}, above 4")
+                f = 2 if (2 if p == 2 else 1) in group else 1  # the unramified non-square
+                e = len(group) // f
+                gens = tuple(sorted(reps[i] for i in group if i)[:len(group).bit_length() - 1])
                 table = [0] * len(reps)
                 # In ascending order, the first number met of a coset is its least.
                 for i, rep in enumerate(reps):
@@ -101,6 +117,9 @@ class LocalField:
                         for h in group:
                             table[i ^ h] = rep
                 reps = tuple(table)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
         object.__setattr__(self, "kummer", group)
         object.__setattr__(self, "reps", reps)
 
@@ -127,10 +146,6 @@ class LocalField:
         if self.gens:
             body += "(" + ", ".join(f"sqrt {g}" for g in self.gens) + ")"
         return body
-
-
-def rationals_at(v: Place) -> LocalField:
-    return LocalField(v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,44 +239,19 @@ def local_square_class(a: Rat, E: LocalField) -> int:
 # Completions of a tower, and the walk over the ones a decision reads.
 
 
-def completion_over(v: Place, gens) -> tuple[LocalField, int]:
-    """The completion of the tower Q(sqrt g : g in gens) (independent
-    square-free generators) at a place above v, and the number of places
-    above v; all of them are conjugate.
-
-    At the real place a negative generator makes the completion C.  At a
-    prime the Kummer group of the generators' classes in Q_p*/Q_p*^2 has
-    order e*f: f = 2 iff it contains the unramified non-square class, and
-    e = |group| / f.  The completion adjoins the least one or two nontrivial
-    canonical representatives of the group, least as integers."""
-    if not gens:
-        return LocalField(v), 1
-    degree = 1 << len(gens)
-    if v.is_real:
-        if any(g < 0 for g in gens):
-            return LocalField(REAL, (-1,)), degree // 2
-        return LocalField(REAL), degree
-    p = v.p
-    group = _kummer_group(gens, p)
-    unramified = 2 if p == 2 else 1  # the unramified non-square class
-    f = 2 if unramified in group else 1
-    e = len(group) // f
-    base = _base_reps(p)
-    local_gens = sorted(base[i] for i in group if i)[:len(group).bit_length() - 1]
-    return LocalField(v, tuple(local_gens), e, f), degree // (e * f)
-
-
 def completions(primes, gens=()) -> Iterator[tuple[Place, LocalField, int]]:
     """(place, completion, multiplicity) of the tower Q(sqrt g : g in gens)
-    above the real place, 2, the primes of `primes` and the primes of the
-    generators, in that order (primes increasing): the only completions where
-    a form whose entries are supported on `primes` can have a nontrivial
-    local invariant.  Every local-global decision reads its local classes
-    from this walk."""
-    yield (REAL, *completion_over(REAL, gens))
-    for p in sorted(prime_support(gens).union(primes)):
-        v = Place(p)
-        yield (v, *completion_over(v, gens))
+    (independent square-free generators) above the real place, 2, the primes
+    of `primes` and the primes of the generators, in that order (primes
+    increasing): the only completions where a form whose entries are
+    supported on `primes` can have a nontrivial local invariant.  The
+    multiplicity is the number of places of the tower above the place, all
+    conjugate, so it is the tower's degree over the completion's.  Every
+    local-global decision reads its local classes from this walk."""
+    degree = 1 << len(gens)
+    for v in chain((REAL,), map(Place, sorted(prime_support(gens).union(primes)))):
+        E = LocalField(v, gens)
+        yield v, E, degree // E.degree
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,14 @@ import random
 
 import pytest
 from fractions import Fraction
+from math import prod
 
+from wittcert import codecs
 from wittcert.arith import (
+    _EXACT_LIMIT,
     DomainError,
+    LimitExceeded,
+    _is_probable_prime,
     factorize,
     is_prime,
     legendre,
@@ -130,6 +135,36 @@ class TestIsPrime:
         n = 318665857834031151167461
         assert not is_prime(n)
         assert factorize(n) == {399165290221: 1, 798330580441: 1}
+
+
+class TestExactnessLimit:
+    """Miller-Rabin on `_MR_BASES` is exact only below the least strong
+    pseudoprime to all of them; at and beyond it both `is_prime` and
+    `factorize` refuse."""
+
+    def test_the_limit_is_a_strong_pseudoprime(self):
+        assert _EXACT_LIMIT == 1287836182261 * 2575672364521
+        assert _is_probable_prime(_EXACT_LIMIT)
+
+    def test_below_the_limit(self):
+        assert factorize(2 ** 81) == {2: 81}
+        assert is_prime(2 ** 81 - 1) is False
+        fac = factorize(_EXACT_LIMIT - 1)
+        assert prod(p ** e for p, e in fac.items()) == _EXACT_LIMIT - 1
+        assert all(is_prime(p) for p in fac)
+
+    @pytest.mark.parametrize("n", [_EXACT_LIMIT, -_EXACT_LIMIT, _EXACT_LIMIT + 2, 10 ** 111 + 3])
+    def test_refused(self, n):
+        with pytest.raises(LimitExceeded):
+            factorize(n)
+        with pytest.raises(LimitExceeded):
+            is_prime(n)
+        with pytest.raises(LimitExceeded):
+            squarefree_rep(Fraction(1, n))
+
+    def test_one_error_class(self):
+        assert codecs.LimitExceeded is LimitExceeded
+        assert issubclass(LimitExceeded, DomainError)
 
 
 def test_legendre_matches_residue_scan():

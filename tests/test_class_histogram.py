@@ -25,9 +25,7 @@ from wittcert.localfields import (
     _class_histogram,
     _class_index,
     _translate,
-    completion_over,
     form_class_at,
-    rationals_at,
 )
 
 
@@ -45,17 +43,13 @@ def representatives(p: int, per_class: int = 3) -> list[list[int]]:
     return reps
 
 
-def tower_completion(p: int, gens) -> LocalField:
-    return completion_over(Place(p), gens)[0]
-
-
-EVEN_TOWER = tower_completion(2, [-1])      # Q_2(sqrt -1), ramified
-ODD_TOWER = tower_completion(17, [-1, 2])   # 17 splits completely: Q_17
+EVEN_TOWER = LocalField(Place(2), [-1])      # Q_2(sqrt -1), ramified
+ODD_TOWER = LocalField(Place(17), [-1, 2])   # 17 splits completely: Q_17
 
 
 class TestEveryCountVector:
-    @pytest.mark.parametrize("E", [rationals_at(Place(3)), rationals_at(Place(5)),
-                                   rationals_at(Place(2)), EVEN_TOWER, ODD_TOWER],
+    @pytest.mark.parametrize("E", [LocalField(Place(3)), LocalField(Place(5)),
+                                   LocalField(Place(2)), EVEN_TOWER, ODD_TOWER],
                              ids=str)
     def test_against_symbol_by_symbol(self, E):
         assert E.degree == (2 if E is EVEN_TOWER else 1)
@@ -78,10 +72,10 @@ class TestEveryCountVector:
 
 nonzero = st.integers(-10**6, 10**6).filter(bool)
 squarefree = nonzero.map(squarefree_rep)
-FIELDS = [rationals_at(v) for v in (REAL, Place(2), Place(3), Place(5), Place(7), Place(10007))]
-FIELDS += [tower_completion(p, gens) for p, gens in
+FIELDS = [LocalField(v) for v in (REAL, Place(2), Place(3), Place(5), Place(7), Place(10007))]
+FIELDS += [LocalField(Place(p), gens) for p, gens in
            ((2, [-1]), (2, [5]), (2, [-1, 2]), (3, [3]), (3, [-1]), (5, [2, 5]), (17, [-1, 2]))]
-FIELDS.append(completion_over(REAL, [-1])[0])
+FIELDS.append(LocalField(REAL, [-1]))
 
 
 class TestProperties:
@@ -91,7 +85,7 @@ class TestProperties:
         """prod_v s_v(phi) = 1 over R, 2 and the support: Hilbert
         reciprocity for each pair of entries."""
         phi = qform(entries)
-        hasse = [form_class_at(phi.entries, rationals_at(v)).hasse
+        hasse = [form_class_at(phi.entries, LocalField(v)).hasse
                  for v in [REAL] + [Place(p) for p in sorted(phi.support)]]
         assert hasse.count(-1) % 2 == 0
 

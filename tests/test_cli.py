@@ -292,6 +292,14 @@ class TestProcess:
                                            "detail": "payload nests too deeply to decode"}
         assert "Traceback" not in proc.stderr
 
+    def test_factorization_limit_exits_3(self):
+        # 10^111 + 3 lies beyond exact primality testing; it used to run on
+        # in Pollard-Brent without an answer.
+        payload = json.dumps({"diag": [1, 1, 10 ** 111 + 3]})
+        proc = run_process("-m", "wittcert.cli", "isotropic", payload)
+        assert proc.returncode == 3 and json.loads(proc.stdout)["error"] == "limit-exceeded"
+        assert "Traceback" not in proc.stderr
+
     def test_import_leaves_logging_unloaded(self):
         proc = run_process("-c", "import sys, wittcert.cli; print('logging' in sys.modules)")
         assert proc.returncode == 0 and proc.stdout.strip() == "False"

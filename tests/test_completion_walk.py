@@ -1,5 +1,6 @@
 """The walk over completions and what the decisions built on it rely on:
-the fiber rule on every Kummer group, one local class per (form, completion)
+the fiber rule on every Kummer group, everything a completion derives from
+its generators, one local class per (form, completion)
 in each decision and one class histogram per place in the similarity-factor
 check, each verdict of the degree-12 pipeline decided once, no Witt
 decomposition in the lemma24 search, and the verdicts the walk lets a
@@ -11,16 +12,17 @@ import json
 import random
 import sys
 from collections import Counter
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import kummer_group, least_member
+from oracles import kummer_group, least_coset_member, least_member
 from test_acceptance import _generate_lemma24_instances
 from wittcert import forms, localfields
 from wittcert.cli import main
-from wittcert.arith import _class_product, prime_support, squarefree_rep
+from wittcert.arith import DomainError, _class_product, prime_support, squarefree_rep
 from wittcert.extensions import aniso_dim_over, make_tower
 from wittcert.forms import (
     QForm,
@@ -37,14 +39,22 @@ from wittcert.forms import (
     tensor,
     witt_decompose,
 )
-from wittcert.localfields import REAL, Place, completion_over, completions
+from wittcert.localfields import (
+    REAL,
+    LocalField,
+    Place,
+    completions,
+    form_class_at,
+    hilbert_symbol,
+    local_aniso_dim,
+)
 from wittcert.involutions import quaternion
 from wittcert.similitude import lemma24_certificate, thm6_pipeline
 
 
 class TestFiberRule:
-    """`completion_over` on every Kummer group of one or two generators at
-    2 and at small odd primes."""
+    """`LocalField(v, gens)` on every Kummer group of one or two generators
+    at 2 and at small odd primes."""
 
     @staticmethod
     def generator_sets(reps):
@@ -53,12 +63,12 @@ class TestFiberRule:
     def test_dyadic(self):
         v = Place(2)
         for gens in self.generator_sets([least_member(i, 2) for i in range(1, 8)]):
-            E, mult = completion_over(v, gens)
+            E = LocalField(v, gens)
             group = kummer_group(gens, 2)
             # The 2-adic unramified quadratic extension is Q2(sqrt 5), and 5
             # is class number 2.
             assert E.f == (2 if 2 in group else 1), gens
-            assert E.e * E.f == 1 << len(gens) and mult == 1, gens
+            assert E.e * E.f == 1 << len(gens), gens
             assert E.kummer == kummer_group(E.gens, 2) == group, gens
             # The least nontrivial representatives as integers: Q2(sqrt 2,
             # sqrt 3), not Q2(sqrt 3, sqrt 2).
@@ -69,13 +79,13 @@ class TestFiberRule:
         v = Place(p)
         reps = [least_member(i, p) for i in (1, 2, 3)]
         for gens in self.generator_sets(reps):
-            E, mult = completion_over(v, gens)
+            E = LocalField(v, gens)
             group = kummer_group(gens, p)
             # Ramified iff a class of odd valuation (number 2 or 3) is
             # adjoined; inert iff the unramified non-square class (number 1) is.
             assert E.e == (2 if any(i & 2 for i in group) else 1), gens
             assert E.f == (2 if 1 in group else 1), gens
-            assert E.degree * mult == 1 << len(gens), gens
+            assert E.degree == 1 << len(gens), gens
             assert E.kummer == kummer_group(E.gens, p) == group, gens
             assert E.gens == tuple(sorted(least_member(i, p) for i in group if i)[:len(gens)])
 
@@ -90,8 +100,96 @@ class TestFiberRule:
             primes = [v.p for v, _, _ in walk[1:]]
             assert primes == sorted(phi.support | prime_support(M.generators))
             for v, E, mult in walk:
-                assert completion_over(v, M.generators) == (E, mult)
+                assert LocalField(v, M.generators) == E and E.base == v
                 assert E.degree * mult == M.degree
+
+
+class TestDerivation:
+    """Everything `LocalField` derives from its generators, on every
+    generator set of a finite domain, against the class-number oracle."""
+
+    @staticmethod
+    def check(p, gens, scaled):
+        """`LocalField(Place(p), g)` for every order g of `scaled` (the
+        integer generators `gens`, each times a rational square)."""
+        group = kummer_group(gens, p)
+        if len(group) > 4:
+            with pytest.raises(DomainError):
+                LocalField(Place(p), scaled)
+            return 0
+        unramified = 2 if p == 2 else 1
+        f = 2 if unramified in group else 1
+        expected_gens = tuple(sorted(least_member(i, p) for i in group if i)
+                              [:len(group).bit_length() - 1])
+        expected_reps = tuple(least_coset_member(i, group, p) for i in range(8 if p == 2 else 4))
+        fields = {LocalField(Place(p), g) for g in permutations(scaled)}
+        assert len(fields) == 1, scaled
+        E = fields.pop()
+        assert E.kummer == group, scaled
+        assert (E.e, E.f) == (len(group) // f, f), scaled
+        assert E.degree == len(group), scaled
+        assert E.gens == expected_gens, scaled
+        assert E.reps == expected_reps, scaled
+        return 1
+
+    def test_every_dyadic_generator_set(self):
+        # The 8 canonical dyadic classes, 1 included: 92 sets, of which the
+        # 28 bases of Q2*/Q2*^2 generate a group of order 8.
+        reps = [least_member(i, 2) for i in range(8)]
+        checked = sum(self.check(2, gens, gens)
+                      for k in (1, 2, 3) for gens in combinations(reps, k))
+        assert checked == 64
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_odd_generator_set_and_its_square_multiples(self, p):
+        rng = random.Random(p)
+        reps = [least_member(i, p) for i in range(4)]
+        for k in (1, 2):
+            for gens in combinations(reps, k):
+                square = Fraction(rng.randint(1, 99), rng.randint(1, 99)) ** 2
+                for squares in product((1, 4, p * p, square), repeat=k):
+                    scaled = tuple(g * s for g, s in zip(gens, squares))
+                    assert self.check(p, gens, scaled)
+
+    def test_refusals(self):
+        for v in (REAL, Place(2), Place(3)):
+            for gens in [(0,), (5, 0), (Fraction(0),)]:
+                with pytest.raises(DomainError):
+                    LocalField(v, gens)
+        with pytest.raises(DomainError):
+            LocalField(Place(2), (2, 3, 5))
+        # e and f are derived, never passed.
+        with pytest.raises(TypeError):
+            LocalField(Place(2), (3, 5), 1, 1)
+        with pytest.raises(TypeError):
+            LocalField(Place(5), (2, 2), e=2, f=2)
+
+    def test_contradictions_once_accepted(self):
+        E = LocalField(Place(2), (3, 5))
+        assert (E.e, E.f, E.degree) == (2, 2, 4)
+        assert hilbert_symbol(-1, -1, E) == 1
+        assert LocalField(REAL, (5,)).is_real
+        assert local_aniso_dim(form_class_at((1, 1), LocalField(REAL, (5,))),
+                               LocalField(REAL, (5,))) == 2
+        assert LocalField(REAL, (5, Fraction(-1, 3))).is_complex
+        assert LocalField(Place(5), (2, 2)).degree == 2
+        assert LocalField(Place(2), (7,)) == LocalField(Place(2), (-1,))
+
+    def test_one_derivation_per_finite_field(self, monkeypatch):
+        calls = {"_kummer_group": [], "_base_reps": []}
+        for name, log in calls.items():
+            spy(monkeypatch, getattr(localfields, name), log)
+        phi = qform([3, -7, 11, 13 * 17])
+        for M in TOWERS:
+            for log in calls.values():
+                log.clear()
+            walk = list(completions(phi.support, M.generators))
+            finite = [p for _, p in calls["_kummer_group"]]
+            assert finite == [v.p for v, _, _ in walk if not v.is_real]
+            assert [args[0] for args in calls["_base_reps"]] == finite
+        calls["_kummer_group"].clear()
+        LocalField(REAL, (-1,))
+        assert calls["_kummer_group"] == []
 
 
 def spy(monkeypatch, fn, calls):

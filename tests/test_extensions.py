@@ -15,7 +15,7 @@ from wittcert.extensions import (
     witt_index_over,
 )
 from wittcert.forms import pfister, qform, tensor, witt_decompose, witt_equivalent, scale
-from wittcert.localfields import Place, REAL, completion_over
+from wittcert.localfields import Place, REAL, completions
 
 
 def random_tower(rng, max_gens=2):
@@ -48,24 +48,31 @@ class TestMakeTower:
         assert make_tower([-3, 3]).generators == (3, -3)
 
 
-class TestCompletionOver:
+def fiber(v, gens):
+    """The completion of the tower Q(sqrt g : g in gens) above v and the
+    number of places above v, as the walk over completions gives them."""
+    primes = () if v.is_real else (v.p,)
+    return next((E, mult) for w, E, mult in completions(primes, gens) if w == v)
+
+
+class TestCompletionFibers:
     def test_real_fiber(self):
-        E, mult = completion_over(REAL, make_tower([-1]).generators)
+        E, mult = fiber(REAL, make_tower([-1]).generators)
         assert E.is_complex and mult == 1
-        E, mult = completion_over(REAL, make_tower([2, 3]).generators)
+        E, mult = fiber(REAL, make_tower([2, 3]).generators)
         assert E.is_real and mult == 4
-        E, mult = completion_over(REAL, make_tower([2, -3]).generators)
+        E, mult = fiber(REAL, make_tower([2, -3]).generators)
         assert E.is_complex and mult == 2
 
     def test_split_inert_ramified(self):
         # 5 = 4^2 mod 11: split.
-        E, mult = completion_over(Place(11), make_tower([5]).generators)
+        E, mult = fiber(Place(11), make_tower([5]).generators)
         assert E.degree == 1 and mult == 2
         # 5 has odd valuation at 5: ramified.
-        E, mult = completion_over(Place(5), make_tower([5]).generators)
+        E, mult = fiber(Place(5), make_tower([5]).generators)
         assert (E.e, E.f, mult) == (2, 1, 1)
         # 2 is a nonresidue mod 5: unramified quadratic.
-        E, mult = completion_over(Place(5), make_tower([2]).generators)
+        E, mult = fiber(Place(5), make_tower([2]).generators)
         assert (E.e, E.f, mult) == (1, 2, 1)
 
     def test_fiber_degree_bookkeeping(self):
@@ -74,13 +81,13 @@ class TestCompletionOver:
             M = random_tower(rng)
             for p in (None, 2, 3, 5, 7, 11, 13, 17):
                 v = REAL if p is None else Place(p)
-                E, mult = completion_over(v, M.generators)
+                E, mult = fiber(v, M.generators)
                 assert E.degree * mult == M.degree
 
     def test_dyadic_quartic_types(self):
-        E, mult = completion_over(Place(2), make_tower([5, 2]).generators)
+        E, mult = fiber(Place(2), make_tower([5, 2]).generators)
         assert (E.e, E.f) == (2, 2) and mult == 1
-        E, mult = completion_over(Place(2), make_tower([-1, 2]).generators)
+        E, mult = fiber(Place(2), make_tower([-1, 2]).generators)
         assert (E.e, E.f) == (4, 1)
 
 

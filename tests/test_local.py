@@ -27,19 +27,25 @@ from wittcert.localfields import (
     LocalField,
     LocalFormClass,
     Place,
-    completion_over,
     form_class_at,
     hilbert_symbol,
     local_aniso_dim,
     local_square_class,
-    rationals_at,
 )
 
-Q2 = rationals_at(Place(2))
-Q3 = rationals_at(Place(3))
-Q5 = rationals_at(Place(5))
+Q2 = LocalField(Place(2))
+Q3 = LocalField(Place(3))
+Q5 = LocalField(Place(5))
 R = LocalField(REAL)
 C = LocalField(REAL, gens=(-1,))
+
+
+def derived(v, gens, e, f) -> LocalField:
+    """`LocalField(v, gens)`, checked to keep the canonical generators `gens`
+    and to derive the given e and f."""
+    E = LocalField(v, gens)
+    assert (E.gens, E.e, E.f) == (tuple(gens), e, f), repr(E)
+    return E
 
 
 def all_quartic_subgroups():
@@ -54,7 +60,7 @@ def all_quartic_subgroups():
 def dyadic_completion(sub) -> LocalField:
     """The completion of Q_2 cut out by a square-class subgroup."""
     f = 2 if 5 in sub else 1
-    return LocalField(Place(2), tuple(sorted(sub - {1})[:2]), len(sub) // f, f)
+    return derived(Place(2), tuple(sorted(sub - {1})[:2]), len(sub) // f, f)
 
 
 ALL_DYADIC_COMPLETIONS = (
@@ -130,7 +136,7 @@ class TestHilbertSymbolOdd:
     def test_vs_residue_oracle(self):
         rng = random.Random(21)
         for p in (3, 5, 7, 11):
-            E = rationals_at(Place(p))
+            E = LocalField(Place(p))
             for _ in range(40):
                 a = squarefree_rep(rng.randint(-60, 60) or 1)
                 b = squarefree_rep(rng.randint(-60, 60) or 1)
@@ -140,12 +146,12 @@ class TestHilbertSymbolOdd:
 class TestSymbolLaws:
     FIELDS = [
         R, C, Q2, Q3, Q5,
-        LocalField(Place(3), gens=(3,), e=2, f=1),
-        LocalField(Place(5), gens=(2,), e=1, f=2),
-        LocalField(Place(2), gens=(5,), e=1, f=2),
-        LocalField(Place(2), gens=(7,), e=2, f=1),
-        LocalField(Place(2), gens=(3, 5), e=2, f=2),
-        LocalField(Place(2), gens=(2, 7), e=4, f=1),
+        derived(Place(3), (3,), 2, 1),
+        derived(Place(5), (2,), 1, 2),
+        derived(Place(2), (5,), 1, 2),
+        derived(Place(2), (7,), 2, 1),
+        derived(Place(2), (3, 5), 2, 2),
+        derived(Place(2), (2, 7), 4, 1),
     ]
 
     def test_symmetry_bimultiplicativity_antidiagonal(self):
@@ -167,7 +173,7 @@ class TestSymbolLaws:
             b = rng.randint(-99, 99) or 1
             prod = hilbert_symbol(a, b, R)
             for p in sorted(prime_support([a, b])):
-                prod *= hilbert_symbol(a, b, rationals_at(Place(p)))
+                prod *= hilbert_symbol(a, b, LocalField(Place(p)))
             assert prod == 1, (a, b)
 
     def test_even_degree_extensions_split_everything(self):
@@ -195,10 +201,10 @@ class TestLocalSquareClass:
         assert local_square_class(5, Q2) == 5
 
     def test_reduction_modulo_tower_generators(self):
-        E = LocalField(Place(2), gens=(5,), e=1, f=2)
+        E = derived(Place(2), (5,), 1, 2)
         assert local_square_class(5, E) == 1
         assert local_square_class(10, E) == 2
-        E7 = LocalField(Place(7), gens=(7,), e=2, f=1)
+        E7 = derived(Place(7), (7,), 2, 1)
         assert local_square_class(7, E7) == 1
         assert local_square_class(14, E7) == local_square_class(2, E7)
 
@@ -206,9 +212,9 @@ class TestLocalSquareClass:
         # Kummer reduction against the residue-search square test of the oracle.
         rng = random.Random(24)
         fields = [Q2,
-                  LocalField(Place(2), gens=(5,), e=1, f=2),
-                  LocalField(Place(2), gens=(14,), e=2, f=1),
-                  LocalField(Place(2), gens=(3, 5), e=2, f=2)]
+                  derived(Place(2), (5,), 1, 2),
+                  derived(Place(2), (14,), 2, 1),
+                  derived(Place(2), (3, 5), 2, 2)]
         for _ in range(80):
             a = rng.randint(-100, 100) or 1
             for E in fields:
@@ -220,7 +226,7 @@ def odd_completions(p: int) -> list[LocalField]:
     generators, the generators taken among the least members of the classes."""
     reps = [least_member(i, p) for i in (1, 2, 3)]
     gen_sets = [()] + [(g,) for g in reps] + list(itertools.combinations(reps, 2))
-    return [completion_over(Place(p), gens)[0] for gens in gen_sets]
+    return [LocalField(Place(p), gens) for gens in gen_sets]
 
 
 # Rationals n/d over a small box, with 2, 3, 5 and 7 in both n and d.
@@ -305,7 +311,7 @@ class TestDyadicSquareTest:
 
 class TestLocalAnisoDim:
     def test_frozen(self):
-        Q7 = rationals_at(Place(7))
+        Q7 = LocalField(Place(7))
         assert local_aniso_dim(form_class_at((1, -1), Q7), Q7) == 0
         assert local_aniso_dim(form_class_at((1, 1, 1, 1), R), R) == 4
         assert local_aniso_dim(form_class_at((1, 1, 1, 1), Q2), Q2) == 4
@@ -349,7 +355,7 @@ def test_concurrent_calls_match_sequential():
 
     rng = random.Random(27)
     pairs = [(rng.randint(-60, 60) or 1, rng.randint(-60, 60) or 1) for _ in range(120)]
-    fields = [Q2, Q5, LocalField(Place(2), gens=(3, 5), e=2, f=2)]
+    fields = [Q2, Q5, derived(Place(2), (3, 5), 2, 2)]
     expected = [hilbert_symbol(a, b, E) for a, b in pairs for E in fields]
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(lambda t: hilbert_symbol(*t),

@@ -34,16 +34,14 @@ from wittcert.localfields import (
     _TAME_TABLES,
     _class_index,
     _qp_symbol,
-    completion_over,
     form_class_at,
     hilbert_symbol,
     local_aniso_dim,
     local_square_class,
-    rationals_at,
 )
 from wittcert.similitude import thm4_decompose
 
-FIELDS = [LocalField(REAL)] + [rationals_at(Place(p)) for p in (2, 3, 5, 7, 11, 13)]
+FIELDS = [LocalField(REAL)] + [LocalField(Place(p)) for p in (2, 3, 5, 7, 11, 13)]
 
 nonzero = st.integers(-10**6, 10**6).filter(bool)
 squarefree = nonzero.map(squarefree_rep)
@@ -94,15 +92,14 @@ class TestPrefixHasse:
 
 
 def completions(rng, towers):
-    """Every distinct completion that `completion_over` yields for random towers
-    of degree 2 and 4, at the real place, 2, 3, 5, 7 and the primes of the
-    generators."""
+    """Every distinct completion of random towers of degree 2 and 4 at the
+    real place, 2, 3, 5, 7 and the primes of the generators."""
     out = {}
     for _ in range(towers):
         M = make_tower([squarefree_rep(rng.choice([-1, 1]) * rng.randint(2, 60))
                         for _ in range(rng.randint(1, 2))])
         for v in [REAL] + [Place(p) for p in sorted(prime_support(M.generators) | {3, 5, 7})]:
-            out[completion_over(v, M.generators)[0]] = None
+            out[LocalField(v, M.generators)] = None
     return list(out)
 
 
@@ -136,7 +133,7 @@ class TestClassSymbols:
     valuations and units, on every pair of square classes."""
 
     def test_serre_formula_on_all_dyadic_class_pairs(self):
-        Q2 = rationals_at(Place(2))
+        Q2 = LocalField(Place(2))
         reps = [least_member(i, 2) for i in range(8)]
         assert tuple(reps) == DYADIC_CLASSES == Q2.reps
         for i, a in enumerate(reps):
@@ -150,7 +147,7 @@ class TestClassSymbols:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 10007, 10009])
     def test_tame_formula_on_all_odd_class_pairs(self, p):
-        E = rationals_at(Place(p))
+        E = LocalField(Place(p))
         eps = (p - 1) // 2 % 2
         reps = [least_member(i, p) for i in range(4)]
         assert tuple(reps) == E.reps

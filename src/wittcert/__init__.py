@@ -23,7 +23,6 @@ from .forms import (
     InvariantViolation,
     QForm,
     WittClassQ,
-    ap_violation_count,
     disc,
     hasse_invariant,
     in_G,

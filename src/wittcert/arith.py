@@ -139,14 +139,26 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _factorize_rat(r: Rat) -> dict[int, int]:
+    """{prime: exponent} of the numerator times the denominator of the
+    nonzero int or Fraction r (the square class of r), from one
+    factorization of each: each part, not their product, must lie below
+    _EXACT_LIMIT.  An integer is factored once."""
+    out = factorize(r.numerator)
+    if r.denominator != 1:
+        for p, e in factorize(r.denominator).items():
+            out[p] = out.get(p, 0) + e
+    return out
+
+
 def _squarefree_part(r: Rat) -> tuple[int, list[int]]:
-    """(squarefree_rep(r), the primes dividing it), from one factorization."""
+    """(squarefree_rep(r), the primes dividing it), from one factorization
+    of each of the numerator and the denominator."""
     if not isinstance(r, int):
         r = Fraction(r)
-        r = r.numerator * r.denominator  # same square class
     if r == 0:
         raise DomainError("squarefree_rep of 0")
-    primes = [p for p, e in factorize(r).items() if e % 2]
+    primes = [p for p, e in _factorize_rat(r).items() if e % 2]
     s = -1 if r < 0 else 1
     for p in primes:
         s *= p
@@ -207,7 +219,7 @@ def prime_support(items) -> set[int]:
         x = Fraction(x)
         if x == 0:
             continue
-        out |= set(factorize(x.numerator * x.denominator))
+        out |= set(_factorize_rat(x))
     return out
 
 

@@ -22,10 +22,10 @@ import sys
 from .arith import DomainError
 from . import codecs
 from .codecs import LimitExceeded, ParseError
-from .extensions import aniso_dim_over, hyperbolicity_evidence, norm_member, norm_member_tower
+from .extensions import TRIVIAL_TOWER, aniso_dim_over, hyperbolicity_evidence, norm_member, norm_member_tower
 from .forms import disc, in_G, in_In, is_isometric, is_isotropic, signature, witt_decompose
 from .involutions import degree_index, involution_discriminant, is_split, norm_form, reduce_to_form
-from .localfields import completions, form_class_at
+from .localfields import Place, completions, form_class_at
 from .similitude import (
     DEFAULT_BOUND,
     SearchExhausted,
@@ -54,8 +54,7 @@ def _form_invariants(phi, trace: bool) -> dict:
         "dim": phi.dim,
         "disc": disc(phi),
         "signature": signature(phi),
-        "hasse_minus_places": sorted(
-            (str(v) for v in cls.hasse_minus_places), key=_place_sort),
+        "hasse_minus_places": _minus_places(cls),
         "isotropic": w > 0,
         "witt_index": w,
         "aniso_dim": aniso,
@@ -65,26 +64,13 @@ def _form_invariants(phi, trace: bool) -> dict:
     return out
 
 
-def _place_sort(s: str):
-    return (0, 0) if s == "real" else (1, int(s))
-
-
-def _trace_evidence(phi, tower) -> list[dict]:
-    return [
-        {
-            "place": codecs.dump_place(ev.place),
-            "completion": codecs.dump_completion(ev.completion),
-            "multiplicity": ev.multiplicity,
-            "local_verdict": {"aniso_dim": ev.aniso_dim,
-                              "hyperbolic": ev.aniso_dim == 0},
-        }
-        for ev in hyperbolicity_evidence(phi, tower)
-    ]
+def _minus_places(cls) -> list[str]:
+    """The places where a Witt class has Hasse invariant -1, real first,
+    then the primes in increasing order."""
+    return [codecs.dump_place(v) for v in sorted(cls.hasse_minus_places, key=Place.sort_key)]
 
 
 def _run_verb(verb: str, payload, opts) -> dict:
-    from .extensions import TRIVIAL_TOWER
-
     if verb == "invariants":
         return _form_invariants(codecs.parse_form(payload), opts.trace)
 
@@ -92,7 +78,7 @@ def _run_verb(verb: str, payload, opts) -> dict:
         phi = codecs.parse_form(payload)
         out = {"isotropic": is_isotropic(phi)}
         if opts.trace:
-            out["evidence"] = _trace_evidence(phi, TRIVIAL_TOWER)
+            out["evidence"] = codecs.dump_evidence(hyperbolicity_evidence(phi, TRIVIAL_TOWER))
         return out
 
     if verb == "witt":
@@ -110,8 +96,7 @@ def _run_verb(verb: str, payload, opts) -> dict:
                 "aniso_class": {
                     "dim_parity": cls.dim_parity,
                     "disc": cls.disc,
-                    "hasse_minus_places": sorted(
-                        (str(v) for v in cls.hasse_minus_places), key=_place_sort),
+                    "hasse_minus_places": _minus_places(cls),
                     "signature": cls.signature,
                 }}
 
@@ -173,9 +158,7 @@ def _run_verb(verb: str, payload, opts) -> dict:
                     "stage": outcome.stage}
         out = {"certificate": codecs.dump_certificate(outcome)}
         if opts.trace:
-            from .forms import tensor
-
-            out["trace"] = _trace_evidence(tensor(pi, psi), outcome.tower)
+            out["trace"] = codecs.dump_evidence(outcome.evidence)
         return out
 
     if verb == "thm4":

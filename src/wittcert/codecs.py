@@ -185,17 +185,23 @@ def dump_certificate(cert: HypCertificate) -> dict:
         "multiplier": dump_rat(cert.multiplier),
         "tower": dump_tower(cert.tower),
         "square_adjustment": dump_rat(cert.square_adjustment),
-        "evidence": [
-            {
-                "place": dump_place(ev.place),
-                "completion": dump_completion(ev.completion),
-                "multiplicity": ev.multiplicity,
-                "local_verdict": {"aniso_dim": ev.aniso_dim,
-                                  "hyperbolic": ev.aniso_dim == 0},
-            }
-            for ev in cert.evidence
-        ],
+        "evidence": dump_evidence(cert.evidence),
     }
+
+
+def dump_evidence(evidence) -> list[dict]:
+    """One entry per `PlaceEvidence`: the place, its completion, the
+    multiplicity and the local verdict."""
+    return [
+        {
+            "place": dump_place(ev.place),
+            "completion": dump_completion(ev.completion),
+            "multiplicity": ev.multiplicity,
+            "local_verdict": {"aniso_dim": ev.aniso_dim,
+                              "hyperbolic": ev.aniso_dim == 0},
+        }
+        for ev in evidence
+    ]
 
 
 def parse_certificate(obj) -> HypCertificate:

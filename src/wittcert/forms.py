@@ -32,7 +32,7 @@ from .localfields import (
     _class_histogram,
     _class_index,
     _histogram_class,
-    _plane_factors,
+    _split_planes,
     _symbol_split_at,
     _translate,
     completions,
@@ -40,11 +40,6 @@ from .localfields import (
     hilbert_symbol,
     local_aniso_dim,
 )
-
-# Arason-Pfister runtime check, armed on every Witt decomposition: a form in
-# I^4 may never have anisotropic dimension strictly between 0 and 16.
-_ap_violations = 0
-
 
 class InvariantViolation(RuntimeError):
     """An internal consistency invariant failed; indicates an engine bug."""
@@ -172,11 +167,13 @@ def witt_decompose(phi: QForm, local=None) -> tuple[int, int, WittClassQ]:
     The anisotropic dimension is the largest local anisotropic dimension
     (iterated Hasse-Minkowski): |signature| at the real place, and at each
     finite place of the walk the dimension read off the one local class
-    computed there.  The Hasse data of the kernel is obtained by descending
-    that class two dimensions at a time, and the Arason-Pfister guard reads
-    the same classes.  A caller that already holds the classes passes them
-    as `local`: (place, completion, form_class_at) at each finite place of
-    `completions(phi.support)`.
+    computed there.  The kernel's Hasse invariant at each finite place is
+    that class's with the witt_index hyperbolic planes split off, in closed
+    form (`localfields._split_planes`).  The Arason-Pfister guard reads the
+    same classes and raises `InvariantViolation` if a form in I^4 has
+    anisotropic dimension strictly between 0 and 16.  A caller that already
+    holds the classes passes them as `local`: (place, completion,
+    form_class_at) at each finite place of `completions(phi.support)`.
     """
     n = phi.dim
     d = disc(phi)
@@ -186,25 +183,12 @@ def witt_decompose(phi: QForm, local=None) -> tuple[int, int, WittClassQ]:
                  for v, E, _ in completions(phi.support) if not v.is_real]
     aniso = max([abs(sig)] + [local_aniso_dim(cls, E) for _, E, cls in local])
     witt_index = (n - aniso) // 2
-    # Hasse data of the anisotropic representative, by the descent law
-    # s_small = s_big * ((-1)^(m(m-1)/2) d, -1) at each step down.
-    minus = set()
-    for v, E, cls in local:
-        s, m = cls.hasse, n
-        if m > aniso:
-            factors = _plane_factors(d, E)
-        while m > aniso:
-            m -= 2
-            s *= factors[m * (m - 1) // 2 % 2]
-        if s == -1:
-            minus.add(v)
+    minus = {v for v, E, cls in local if _split_planes(cls.hasse, d, n, aniso, E) == -1}
     negs = (aniso - sig) // 2
     if (negs * (negs - 1) // 2) % 2:
         minus.add(REAL)
     cls = WittClassQ(aniso % 2, d if aniso else 1, frozenset(minus), sig)
     if _in_I(4, n, d, sig, ((c, E) for _, E, c in local)) and 0 < aniso < 16:
-        global _ap_violations
-        _ap_violations += 1
         raise InvariantViolation(
             f"Arason-Pfister violation: {phi} lies in I^4 with anisotropic dimension {aniso}"
         )
@@ -380,8 +364,3 @@ def _in_I(n: int, dim: int, d: int, sig: int, local) -> bool:
     k = dim // 2
     return sig % (8 if n == 3 else 16) == 0 and all(
         cls.hasse == hilbert_symbol(-1, -1, E) ** (k * (k - 1) // 2) for cls, E in local)
-
-
-def ap_violation_count() -> int:
-    """Number of Arason-Pfister runtime violations observed (should stay 0)."""
-    return _ap_violations

@@ -68,12 +68,12 @@ def involution_discriminant(alg: InvolutionAlgebra) -> tuple[QForm, bool]:
     representative <<a, b, disc phi>>, plus its triviality.
 
     Defined only when 2*ind(A) divides deg(A); for this constructor that
-    fails exactly when the quaternion is division and dim(phi) is odd.
+    fails exactly when the quaternion is division and dim(phi) is odd, so
+    splitting is decided only for odd dim(phi).
     """
-    degree, index = degree_index(alg)
-    if degree % (2 * index):
+    if alg.phi.dim % 2 and not is_split(alg.q):
         raise DomainError(
-            f"discriminant undefined: 2*ind = {2 * index} does not divide deg = {degree}"
+            f"discriminant undefined: 2*ind = 4 does not divide deg = {alg.degree}"
         )
     c = disc(alg.phi)
     delta = pfister([alg.q.a, alg.q.b, c])

@@ -399,22 +399,33 @@ def form_class_at(entries: tuple[int, ...], E: LocalField) -> LocalFormClass:
     return _histogram_class(_class_histogram(entries, E.base.p), E)
 
 
-def _plane_factors(d: Rat, E: LocalField) -> tuple[int, int]:
-    """The factor the Hasse invariant of a form with discriminant d picks up
-    when a hyperbolic plane is split off, leaving m dimensions: (P, -1)_E for
-    the entry product P = (-1)^(m(m-1)/2) d of the remainder.  It takes two
-    values, ((d, -1)_E, (-d, -1)_E), indexed by m(m-1)/2 mod 2; both are
-    evaluated once."""
-    return hilbert_symbol(d, -1, E), hilbert_symbol(-d, -1, E)
+def _split_planes(s: int, d: Rat, n: int, m: int, E: LocalField) -> int:
+    """The Hasse invariant over E (a finite completion) of the m-dimensional
+    remainder of a form of dimension n, signed discriminant d and Hasse
+    invariant s, once its k = (n - m)/2 hyperbolic planes are split off.
+
+    Each plane split off, leaving j dimensions, multiplies s by (P_j, -1)_E
+    with P_j = (-1)^(j(j-1)/2) d, and P_{j+2} = -P_j, so the k factors
+    multiply to (P_m, -1)^(k mod 2) (-1, -1)^(floor(k/2) mod 2) (Lam, V.3
+    and VI.2).  When both exponents are odd the two symbols are the one
+    symbol (-P_m, -1), so at most one is evaluated."""
+    k = (n - m) // 2
+    if k % 2 == 0:
+        return s * hilbert_symbol(-1, -1, E) if k % 4 else s
+    negate = (m * (m - 1) // 2 + k // 2) % 2
+    return s * hilbert_symbol(-d if negate else d, -1, E)
 
 
 def local_aniso_dim(c: LocalFormClass, E: LocalField) -> int:
     """Dimension of the anisotropic kernel of any form with these invariants
-    over E, by the standard p-adic classification: descent on the invariant
-    tuple two dimensions at a time; dim >= 5 is always isotropic, dim 4 is
-    anisotropic iff the discriminant is trivial and the Hasse invariant is
-    -(-1, -1)_E, dim 3 iff the Hasse invariant is -(d, -1)_E.  Over a finite
-    place it evaluates at most the two symbols of `_plane_factors`."""
+    over E, by the standard p-adic classification.  At a finite place a
+    form of dimension n >= 3 is read through its remainder of dimension 3
+    (n odd) or 4 (n even) after hyperbolic planes are split off, with Hasse
+    invariant s' from `_split_planes`: the remainder of dimension 3 is
+    anisotropic iff s' = -(d, -1)_E, that of dimension 4 iff d is trivial
+    and s' = -(-1, -1)_E.  Otherwise the kernel has dimension 1 (n odd), or
+    0 or 2 as d is trivial or not (n even).  At most two symbols are
+    evaluated."""
     if c.dim < 0 or c.hasse not in (1, -1):
         raise DomainError(f"invalid local form class {c}")
     if E.is_complex:
@@ -423,18 +434,13 @@ def local_aniso_dim(c: LocalFormClass, E: LocalField) -> int:
         if c.signature is None or abs(c.signature) > c.dim or (c.signature - c.dim) % 2:
             raise DomainError(f"invalid signature data {c}")
         return abs(c.signature)
-    n, d, s = c.dim, c.disc, c.hasse
-    trivial = d == 1
-    if n > 2:
-        # With d = 1 the second factor is (-1, -1)_E.
-        factors = _plane_factors(d, E)
-    while n > 2:
-        if n == 3 and s == -factors[0]:
+    n, d = c.dim, c.disc
+    if n % 2:
+        if n > 1 and _split_planes(c.hasse, d, n, 3, E) == -hilbert_symbol(d, -1, E):
             return 3
-        if n == 4 and trivial and s == -factors[1]:
-            return 4
-        n -= 2
-        s *= factors[n * (n - 1) // 2 % 2]
-    if n == 2:
-        return 0 if trivial else 2
-    return n
+        return 1
+    if d != 1:
+        return 2 if n else 0
+    if n > 2 and _split_planes(c.hasse, d, n, 4, E) == -hilbert_symbol(-1, -1, E):
+        return 4
+    return 0

@@ -3,8 +3,9 @@
 Most of what is here decides by explicit witnesses or exhaustive residue
 enumeration, never through the engine's invariant machinery, so that each
 engine verdict is checked along a second, unrelated route.  The last
-section keeps the generic routes and the searches that the engine's closed
-forms replaced, as reference implementations for those closed forms.
+sections keep the generic routes, the searches and the loops that the
+engine's closed forms replaced, as reference implementations for those
+closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import isqrt
 from wittcert.arith import _class_product, _valuation_unit, legendre, prime_support, squarefree_rep
 from wittcert.extensions import TRIVIAL_TOWER, hyperbolicity_evidence, is_hyperbolic_over, make_tower
 from wittcert.forms import is_hyperbolic, is_isometric, pfister, qform, represents, scale, tensor
-from wittcert.localfields import LocalFormClass, local_square_class
+from wittcert.localfields import LocalFormClass, hilbert_symbol, local_square_class
 from wittcert.similitude import _MAX_FACTORS, _SMALL_PRIMES, HypCertificate, SearchExhausted, lemma_beta_search
 
 
@@ -454,3 +455,45 @@ def form_class_by_symbols(entries, E) -> LocalFormClass:
         h *= hilbert_symbol_closed_form(prefix, a, E)
         prefix = _class_product(prefix, a)
     return LocalFormClass(n, local_square_class(sign * prefix, E), h, None)
+
+
+# ----------------------------------------------------------------------
+# Witt cancellation plane by plane, as the engine computed it before the
+# closed form `localfields._split_planes`.
+
+
+def _plane_factors(d, E) -> tuple[int, int]:
+    """The factor the Hasse invariant of a form with discriminant d picks up
+    when a hyperbolic plane is split off, leaving m dimensions: (P, -1)_E for
+    P = (-1)^(m(m-1)/2) d, indexed by m(m-1)/2 mod 2."""
+    return hilbert_symbol(d, -1, E), hilbert_symbol(-d, -1, E)
+
+
+def split_planes_by_descent(s, d, n, m, E) -> int:
+    """The Hasse invariant of the m-dimensional remainder of a form of
+    dimension n, discriminant d and Hasse invariant s over a finite E,
+    splitting off one hyperbolic plane at a time."""
+    factors = _plane_factors(d, E)
+    while n > m:
+        n -= 2
+        s *= factors[n * (n - 1) // 2 % 2]
+    return s
+
+
+def aniso_dim_by_descent(c: LocalFormClass, E) -> int:
+    """`local_aniso_dim` at a finite place, descending two dimensions at a
+    time: dimension 3 is anisotropic iff s = -(d, -1)_E, dimension 4 iff d
+    is trivial and s = -(-1, -1)_E, dimension 2 iff d is not trivial."""
+    n, d, s = c.dim, c.disc, c.hasse
+    trivial = d == 1
+    factors = _plane_factors(d, E)
+    while n > 2:
+        if n == 3 and s == -factors[0]:
+            return 3
+        if n == 4 and trivial and s == -factors[1]:
+            return 4
+        n -= 2
+        s *= factors[n * (n - 1) // 2 % 2]
+    if n == 2:
+        return 0 if trivial else 2
+    return n

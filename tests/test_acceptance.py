@@ -6,13 +6,14 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 import random
 import time
 
+import pytest
+
 from oracles import check_witness, isotropic_witness, kummer_group, least_member
 from test_local import derived
 from wittcert import forms as forms_mod
 from wittcert.arith import prime_support, squarefree_rep
 from wittcert.extensions import make_tower
 from wittcert.forms import (
-    ap_violation_count,
     in_G,
     in_In,
     is_isotropic,
@@ -276,9 +277,14 @@ def test_criterion_8_hyp_subset_of_g():
             f"{len(_collected_certificates)} certificates, {violations} violations")
 
 
-def test_criterion_6_arason_pfister_runtime_assertion():
-    """Across all suites no form in I^4 was ever decomposed with anisotropic
-    dimension strictly between 0 and 16 (the check is armed on every
-    witt_decompose call and raises on violation)."""
-    count = ap_violation_count()
-    _report(6, count == 0, f"{count} violations recorded across all suites")
+def test_criterion_6_arason_pfister_runtime_assertion(monkeypatch):
+    """The guard armed on every witt_decompose call fires: with a fault that
+    reports a local anisotropic dimension of 2, a hyperbolic form in I^4
+    would decompose with anisotropic dimension strictly between 0 and 16,
+    and witt_decompose raises instead."""
+    phi = pfister([1, 2, 3, 5])
+    assert in_In(phi, 4) and forms_mod.witt_decompose(phi)[1] == 0
+    monkeypatch.setattr(forms_mod, "local_aniso_dim", lambda cls, E: 2)
+    with pytest.raises(forms_mod.InvariantViolation, match="Arason-Pfister"):
+        forms_mod.witt_decompose(phi)
+    _report(6, True, "a faulty local dimension on <<1,2,3,5>> raises InvariantViolation")

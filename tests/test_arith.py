@@ -68,6 +68,40 @@ class TestSquarefreeRep:
             assert squarefree_rep(a * b) == squarefree_rep(sa * sb)
 
 
+class TestRationals:
+    """A rational is reduced by factoring its numerator and denominator
+    apart: each must lie below the exactness limit, not their product."""
+
+    # Both parts are below _EXACT_LIMIT; their product is above it.
+    N, D = 2000000000003, 2000000000009
+
+    def test_parts_below_the_limit_with_product_above(self):
+        assert max(self.N, self.D) < _EXACT_LIMIT <= self.N * self.D
+        expected = naive_squarefree(self.D) * self.N
+        assert squarefree_rep(Fraction(self.N, self.D)) == expected
+        assert squarefree_rep(Fraction(self.D, self.N)) == expected
+        assert squarefree_rep(Fraction(-self.N, 4 * self.D)) == -expected
+        support = {2} | set(factorize(self.N)) | set(factorize(self.D))
+        assert prime_support([Fraction(self.N, self.D)]) == support
+        assert prime_support([Fraction(self.D, self.N), 1]) == support
+
+    def test_small_rationals(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n, d = rng.randint(-500, 500) or 1, rng.randint(1, 500)
+            q = Fraction(n, d)
+            assert squarefree_rep(q) == naive_squarefree(q.numerator * q.denominator)
+            assert prime_support([q]) == prime_support([q.numerator * q.denominator])
+
+    @pytest.mark.parametrize("q", [Fraction(_EXACT_LIMIT, 7), Fraction(7, _EXACT_LIMIT),
+                                   Fraction(-_EXACT_LIMIT, 2)])
+    def test_a_part_at_the_limit_is_refused(self, q):
+        with pytest.raises(LimitExceeded):
+            squarefree_rep(q)
+        with pytest.raises(LimitExceeded):
+            prime_support([q])
+
+
 class TestValuation:
     def test_frozen_examples(self):
         assert padic_valuation(2, 12) == 2

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from wittcert import cli, extensions, involutions, similitude
 from wittcert.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -90,6 +91,14 @@ class TestPipelineVerbs:
         assert code == 0
         assert out["degree"] == 12 and out["index"] == 2 and out["trivial"] is True
 
+    def test_delta_decides_splitting_once(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(involutions, "is_split",
+                            lambda q, split=involutions.is_split: calls.append(q) or split(q))
+        code, _ = run_json(capsys, "delta",
+                           '{"inv_algebra":{"phi":{"diag":[1,1,1,1,1,2]},"q":[2,5]}}')
+        assert code == 0 and len(calls) == 1
+
     def test_lemma_beta(self, capsys):
         code, out = run_json(capsys, "lemma-beta", '{"form":{"diag":[1,1,1,1]},"a":1}')
         assert code == 0 and out == {"d": -1}
@@ -132,6 +141,26 @@ class TestPipelineVerbs:
         assert out["trace"]
         assert all(e["local_verdict"] == {"aniso_dim": 0, "hyperbolic": True}
                    for e in out["trace"])
+
+    def test_trace_is_the_certificate_evidence(self, capsys, monkeypatch):
+        # The trace prints the evidence the certificate already carries: one
+        # walk builds it and one re-derives it in the verifier.
+        calls = []
+        evidence = extensions.hyperbolicity_evidence
+
+        def counted(phi, M):
+            calls.append(M)
+            return evidence(phi, M)
+
+        for module in (cli, extensions, similitude):
+            monkeypatch.setattr(module, "hyperbolicity_evidence", counted)
+        # An imaginary quadratic tower, then the trivial one.
+        for psi, c in (([1, 1, 1, 1, 1, -3], 2), ([1, 1, 1, -1, -1, -1], -1)):
+            payload = json.dumps({"pi": {"pfister": [-1, -1]}, "psi": {"diag": psi}, "c": c})
+            calls.clear()
+            code, out = run_json(capsys, "lemma24", payload, "--trace")
+            assert code == 0 and out["trace"] == out["certificate"]["evidence"]
+            assert len(calls) == 2 and len(out["certificate"]["tower"]["generators"]) == (c > 0)
 
 
 class TestCliContract:
@@ -258,6 +287,14 @@ class TestRationalArguments:
                    '"certificate":%s}' % cert)
         code, out = run_json(capsys, "verify-cert", payload)
         assert code == 1 and out["error"] == "malformed-input"
+
+    @pytest.mark.parametrize("verb", ["invariants", "isotropic", "witt"])
+    def test_entry_with_parts_below_the_factorization_limit(self, capsys, verb):
+        # Numerator and denominator each factor exactly; their product
+        # lies beyond the limit.  Inverting the entry keeps its class.
+        code, out = run_cli(capsys, verb, '{"diag":["2000000000003/2000000000009", 1]}')
+        assert code == 0, out
+        assert run_cli(capsys, verb, '{"diag":["2000000000009/2000000000003", 1]}') == (code, out)
 
     @pytest.mark.parametrize("n", ["2.7", "true", '"4"'])
     def test_in_in_n_must_be_an_integer(self, capsys, n):

@@ -1,7 +1,8 @@
 """The engine's closed forms against the routes and searches they replaced
 (kept in `oracles`): similarity factors by the Hasse-invariant scaling law,
 norm groups by Hasse's norm theorem, the lazily enumerated candidate stream,
-and the one-stage certificate construction."""
+the one-stage certificate construction, and Witt cancellation of any number
+of hyperbolic planes at once."""
 
 import random
 import sys
@@ -10,17 +11,22 @@ from pathlib import Path
 
 import pytest
 
+from itertools import combinations
+
 from oracles import (
+    aniso_dim_by_descent,
     eager_candidate_classes,
     in_G_via_isometry,
     in_G_via_tensor,
     lemma24_by_search,
     norm_member_via_represents,
+    split_planes_by_descent,
 )
 from test_acceptance import _generate_lemma24_instances
 from wittcert import codecs, forms
 from wittcert.arith import squarefree_rep
 from wittcert.extensions import norm_member
+from wittcert.localfields import LocalField, LocalFormClass, Place, _base_reps, _split_planes, local_aniso_dim
 from wittcert.forms import InvariantViolation, QForm, in_G, pfister, qform, tensor
 from wittcert.similitude import HypCertificate, candidate_classes, lemma24_certificate
 
@@ -37,6 +43,40 @@ def bench_certify_pool():
 
     rng = workloads._rng(0, "certify-pool")
     return [workloads.certify_instance(rng, definite) for definite in workloads.Certify.POOL]
+
+
+class TestSplitPlanes:
+    """The closed form of Witt cancellation against the plane-by-plane
+    descent, on every completion of degree at most 4 over Q_p, p <= 13."""
+
+    @staticmethod
+    def finite_completions():
+        """Q_p and each of its quadratic and biquadratic extensions, p <= 13:
+        15 over Q_2 and 5 over each odd Q_p."""
+        fields = {}
+        for p in (2, 3, 5, 7, 11, 13):
+            reps = _base_reps(p)
+            for k in (0, 1, 2):
+                for gens in combinations(reps[1:], k):
+                    fields[LocalField(Place(p), gens)] = None
+        return list(fields)
+
+    def test_every_class_and_target_dimension(self):
+        fields = self.finite_completions()
+        assert len(fields) == 40
+        checked = 0
+        for E in fields:
+            for d in sorted(set(E.reps)):
+                for s in (1, -1):
+                    for n in range(30):
+                        c = LocalFormClass(n, d, s)
+                        assert local_aniso_dim(c, E) == aniso_dim_by_descent(c, E), (str(E), c)
+                        for m in range(n % 2, n + 1, 2):
+                            assert _split_planes(s, d, n, m, E) == split_planes_by_descent(
+                                s, d, n, m, E), (str(E), n, d, s, m)
+                            checked += 1
+        # 105 (completion, discriminant) pairs, 2 Hasse values, 240 (n, m).
+        assert checked == 50400
 
 
 class TestSimilarityFactors:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wittcert import involutions
 from wittcert.arith import DomainError
 from wittcert.forms import (
     disc,
@@ -23,6 +24,7 @@ from wittcert.involutions import (
     quaternion,
     reduce_to_form,
 )
+from wittcert.similitude import thm6_pipeline
 
 
 def random_quaternion(rng, height=15):
@@ -87,11 +89,22 @@ class TestDiscriminant:
         # Division quaternion with odd-dimensional factor: 2*ind does not
         # divide the degree.
         alg = InvolutionAlgebra(qform([1, 1, 1]), quaternion(-1, -1))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^discriminant undefined: 2\*ind = 4 does not "
+                                              r"divide deg = 6$"):
             involution_discriminant(alg)
         # Split algebra: defined for every dimension.
         involution_discriminant(InvolutionAlgebra(qform([1, 1, 1]), quaternion(1, 5)))
 
+
+    def test_pipeline_decides_splitting_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(involutions, "is_split",
+                            lambda q, split=is_split: calls.append(q) or split(q))
+        for phi, q in (([1, 1, 1, 1, 1, 2], (2, 5)), ([1, 1, 1, 1, 1, 1], (-1, -1)),
+                       ([1, 1, 1, 1, 1, 2], (1, 3))):
+            calls.clear()
+            thm6_pipeline(qform(phi), quaternion(*q), [1])
+            assert len(calls) == 1, (phi, q)
 
 class TestReduceToForm:
     def test_frozen(self):

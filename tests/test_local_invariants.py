@@ -74,7 +74,7 @@ class TestPrefixHasse:
 
     def test_symbol_calls_per_local_decision(self, monkeypatch):
         # form_class_at works on class histograms alone; local_aniso_dim
-        # needs at most the two descent symbols.
+        # needs at most two symbols.
         import wittcert.localfields as lf
 
         calls = []

@@ -71,7 +71,6 @@ from .similitude import (
     MultiplierResult,
     PfisterDecomposition,
     PipelineReport,
-    SearchExhausted,
     lemma24_certificate,
     lemma_beta_search,
     prop_index_check,

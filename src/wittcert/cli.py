@@ -3,20 +3,21 @@ input and output.
 
     wittcert <verb> '<json payload>' [--bound N] [--trace] [--seed N]
 
-Exit status: 0 on success (including explicit not-found results), 2 when a
-hypothesis check or precondition fails (the failing check is named), 1 on
-malformed input, 3 on input beyond a fixed size limit (`limit-exceeded`:
-a form descriptor expanding above `codecs.MAX_EXPANDED_DIM` dimensions).
-Output is deterministic: fixed key order, exact integers and rational
-strings, never floats.  The default search bound can also be set through
-the WITTCERT_SEARCH_BOUND environment variable.
+Exit status: 0 on success (including the explicit not-found result of
+`lemma-beta`), 2 when a hypothesis check or precondition fails (the failing
+check is named), 1 on malformed input, 3 on input beyond a fixed size limit
+(`limit-exceeded`: a form descriptor expanding above
+`codecs.MAX_EXPANDED_DIM` dimensions).  Output is deterministic: fixed key
+order, exact integers and rational strings, never floats; it depends on the
+arguments alone, never on the environment.  `--bound` decides whether
+`lemma-beta` finds an extension; for `lemma24` and `thm6` it caps only the
+cost of the search, since a similarity factor always certifies.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arith import DomainError
@@ -28,7 +29,6 @@ from .involutions import degree_index, involution_discriminant, is_split, norm_f
 from .localfields import Place, completions, form_class_at
 from .similitude import (
     DEFAULT_BOUND,
-    SearchExhausted,
     lemma24_certificate,
     lemma_beta_search,
     thm4_decompose,
@@ -152,13 +152,10 @@ def _run_verb(verb: str, payload, opts) -> dict:
         pi = codecs.parse_form(payload["pi"])
         psi = codecs.parse_form(payload["psi"])
         c = codecs.parse_rat(payload["c"])
-        outcome = lemma24_certificate(pi, psi, c, opts.bound)
-        if isinstance(outcome, SearchExhausted):
-            return {"result": "not-found-within-bounds", "bound": outcome.bound,
-                    "stage": outcome.stage}
-        out = {"certificate": codecs.dump_certificate(outcome)}
+        cert = lemma24_certificate(pi, psi, c, opts.bound)
+        out = {"certificate": codecs.dump_certificate(cert)}
         if opts.trace:
-            out["trace"] = codecs.dump_evidence(outcome.evidence)
+            out["trace"] = codecs.dump_evidence(cert.evidence)
         return out
 
     if verb == "thm4":
@@ -194,16 +191,6 @@ def _run_verb(verb: str, payload, opts) -> dict:
     raise DomainError(f"unknown verb {verb!r}")
 
 
-def _default_bound() -> int:
-    raw = os.environ.get("WITTCERT_SEARCH_BOUND")
-    if raw is None:
-        return DEFAULT_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"WITTCERT_SEARCH_BOUND is not an integer: {raw!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wittcert",
@@ -213,9 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("verb", choices=VERBS)
     parser.add_argument("payload", nargs="?", default="{}",
                         help="JSON payload (or a bare form/tower string)")
-    parser.add_argument("--bound", type=int,
-                        help="search bound for square-free tower generators "
-                             "(default: WITTCERT_SEARCH_BOUND, else 10^6)")
+    parser.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                        help="largest square-free tower generator searched "
+                             "(default 10^6); for lemma24 and thm6 it caps "
+                             "only the search cost, Q(sqrt -c) closes the search")
     parser.add_argument("--trace", action="store_true",
                         help="emit per-place local evidence for hyperbolicity verdicts")
     parser.add_argument("--seed", type=int, default=0,
@@ -239,8 +227,6 @@ def main(argv=None) -> int:
                           "detail": "payload nests too deeply to decode"}, indent=2))
         return 1
     try:
-        if opts.bound is None:
-            opts.bound = _default_bound()
         result = _run_verb(opts.verb, payload, opts)
     except HypothesisFailure as exc:
         print(str(exc))

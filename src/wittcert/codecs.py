@@ -231,8 +231,6 @@ def dump_multiplier_result(res: MultiplierResult) -> dict:
     out: dict = {"multiplier": res.multiplier, "status": res.status}
     if res.certificate is not None:
         out["certificate"] = dump_certificate(res.certificate)
-    if res.bound is not None:
-        out["bound"] = res.bound
     return out
 
 

@@ -62,21 +62,21 @@ class ExtensionTower:
 
 def make_tower(ds) -> ExtensionTower:
     """Canonical tower from requested generators.  Square generators are
-    discarded and dependent biquadratic generators are downgraded to the
-    smaller tower (with the flag set)."""
+    discarded; a generator whose class already lies in the Kummer subgroup
+    of the earlier ones is dependent and is dropped, with the downgraded
+    flag set."""
     gens: list[int] = []
+    group = {1}
     downgraded = False
     for d in ds:
         if Fraction(d) == 0:
             raise DomainError("tower generator must be nonzero")
         c = squarefree_rep(d)
-        if c == 1 or c in gens:
+        if c in group:
             downgraded = downgraded or c != 1
             continue
-        if len(gens) == 1 and _class_product(gens[0], c) == 1:
-            downgraded = True
-            continue
         gens.append(c)
+        group |= {_class_product(c, h) for h in group}
     if len(gens) > 2:
         raise DomainError("towers of degree > 4 are out of scope")
     gens.sort(key=lambda d: (abs(d), d < 0))

@@ -247,7 +247,12 @@ def tensor(phi: QForm, psi: QForm) -> QForm:
 
 
 def scale(c: Rat, phi: QForm) -> QForm:
-    c, primes = _squarefree_part(c)
+    return _scaled(*_squarefree_part(c), phi)
+
+
+def _scaled(c: int, primes, phi: QForm) -> QForm:
+    """c*phi for a square-free integer c whose primes are given: entries by
+    gcd products, support among the known primes, nothing factored."""
     entries = tuple(_class_product(c, a) for a in phi.entries)
     return QForm._derived(entries, _support_among(entries, phi.support.union(primes)))
 
@@ -312,7 +317,7 @@ def in_G(phi: QForm, c: Rat) -> bool:
     else:
         closed = (c > 0 or signature(phi) == 0) and _symbol_split_at(
             c, disc(phi), phi.support.union(primes))
-    if closed != _isometric_to_scaled(phi, c):
+    if closed != _isometric_to_scaled(phi, c, primes):
         raise InvariantViolation(
             f"in_G closed form disagrees with the isometry test for {phi}, c={c}: "
             f"closed form {closed}"
@@ -320,14 +325,15 @@ def in_G(phi: QForm, c: Rat) -> bool:
     return closed
 
 
-def _isometric_to_scaled(phi: QForm, c: int) -> bool:
-    """The complete invariant test of c*phi = phi, c a square-free integer:
-    the discriminant and signature of `scale(c, phi)` against those of phi
-    (scaling keeps the dimension), and the Hasse invariants at every finite
-    place of the walk over the joint support.  At each place one class
+def _isometric_to_scaled(phi: QForm, c: int, primes) -> bool:
+    """The complete invariant test of c*phi = phi, c a square-free integer
+    with the given primes (so c is not factored again): the discriminant and
+    signature of c*phi against those of phi (scaling keeps the dimension),
+    and the Hasse invariants at every finite place of the walk over the
+    joint support.  At each place one class
     histogram is built: s_p(c phi) is read from phi's histogram translated by
     the class of c, a product in the group ring Z[Q_p*/Q_p*^2]."""
-    psi = scale(c, phi)
+    psi = _scaled(c, primes, phi)
     if disc(psi) != disc(phi) or signature(psi) != signature(phi):
         return False
     for v, E, _ in completions(phi.support | psi.support):

@@ -7,8 +7,10 @@ certificate verifier.
 Searches are deterministic: square-free candidates are ordered by absolute
 value (smallest first, + before -), built from the instance's prime support
 and the small primes, and the first qualifying candidate is returned.  The
-verifier re-derives both certificate conclusions from scratch; the engine
-memoises nothing, so no verdict of the search is reused.
+certificate constructor is total: its search bound caps only the cost of the
+search, because Q(sqrt -c) closes it when no candidate within the bound
+qualifies.  The verifier re-derives both certificate conclusions from
+scratch; the engine memoises nothing, so no verdict of the search is reused.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import DomainError, Rat, _class_product, _is_rational_square, prime_support, squarefree_rep
+from .arith import DomainError, Rat, _class_product, _is_rational_square, _squarefree_part, squarefree_rep
 from .extensions import (
     ExtensionTower,
     PlaceEvidence,
@@ -62,14 +64,6 @@ class HypCertificate:
 
 
 @dataclass(frozen=True, slots=True)
-class SearchExhausted:
-    """Explicit not-found result carrying the bound that was exhausted."""
-
-    bound: int
-    stage: str
-
-
-@dataclass(frozen=True, slots=True)
 class PfisterDecomposition:
     """Witt decomposition of <<a,b>> (x) phi4 into a scaled 4-fold and a
     scaled 3-fold Pfister form.  `primes` holds 2 and the primes that the
@@ -95,9 +89,8 @@ class PfisterDecomposition:
 @dataclass(slots=True)
 class MultiplierResult:
     multiplier: int
-    status: str  # "certificate" | "not-in-G" | "not-found-within-bounds"
+    status: str  # "certificate" | "not-in-G"; a similarity factor always certifies
     certificate: HypCertificate | None = None
-    bound: int | None = None
 
 
 @dataclass(slots=True)
@@ -165,8 +158,7 @@ def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND) -> int | N
         raise DomainError("form is hyperbolic: no index-raising extension is needed")
     if not in_G(phi, a):
         raise DomainError(f"{a} is not a similarity factor of the form")
-    a = squarefree_rep(a)
-    support = phi.support | prime_support([a])
+    support = phi.support.union(_squarefree_part(a)[1])
     for d in candidate_classes(support, bound):
         if not norm_member(a, d):
             continue
@@ -195,7 +187,7 @@ def _certificate(phi: QForm, tower: ExtensionTower, c_original: Rat) -> HypCerti
 
 
 def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
-                        bound: int = DEFAULT_BOUND) -> HypCertificate | SearchExhausted:
+                        bound: int = DEFAULT_BOUND) -> HypCertificate:
     """For phi = pi (x) psi in I^4 (pi a 2-fold Pfister form, psi of dimension
     6) and a similarity factor c, produce a verified certificate whose tower
     is trivial or imaginary quadratic, with phi hyperbolic over the tower and
@@ -208,8 +200,10 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
     index cannot rise; for d < 0 the field is totally imaginary, its I^3 is
     0 and phi becomes hyperbolic.  The tower is therefore Q(sqrt d) for the
     first negative candidate d with c a norm from it: the first candidate of
-    the index-raising search (`lemma_beta_search`).  Every certificate is
-    still verified from scratch before it is returned.
+    the index-raising search (`lemma_beta_search`).  When no candidate within
+    the bound qualifies, d = -c closes the search: c = N(sqrt -c).  The bound
+    caps the cost of the search, never whether a certificate exists.  Every
+    certificate is still verified from scratch before it is returned.
     """
     _check_bound(bound)
     if pfister_slots(pi) is None or pi.dim != 4:
@@ -224,28 +218,19 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
     return _certify_in_I4(phi, c, bound)
 
 
-def _certify_in_I4(phi: QForm, c: Rat, bound: int) -> HypCertificate | SearchExhausted:
+def _certify_in_I4(phi: QForm, c: Rat, bound: int) -> HypCertificate:
     """The certificate of `lemma24_certificate` for a form phi in I^4 and a
     similarity factor c of it, both verdicts already decided by the caller:
     the trivial tower when phi has signature 0, else the first negative
-    candidate with c a norm.  The certificate is verified before it is
-    returned."""
-    c_sf = squarefree_rep(c)
+    candidate within the bound with c a norm, else Q(sqrt -c).  The
+    certificate is verified before it is returned."""
     if signature(phi) == 0:
         return _certificate(phi, TRIVIAL_TOWER, c)
-    for d in candidate_classes(phi.support | prime_support([c_sf]), bound):
+    c_sf, primes = _squarefree_part(c)
+    for d in candidate_classes(phi.support.union(primes), bound):
         if d < 0 and norm_member(c_sf, d):
             return _certificate(phi, make_tower([d]), c)
-    # The hypotheses guarantee a certificate exists, so exhaustion means the
-    # bound is too small or there is an engine defect; never accept silently.
-    # logging is imported here, on the only path that uses it.
-    import logging
-
-    logging.getLogger("wittcert").warning(
-        "certificate search exhausted (stage quadratic, bound %d) on a hypothesis-"
-        "satisfying instance: dim %d form, multiplier %d; this indicates a "
-        "too-small bound or an engine defect", bound, phi.dim, c_sf)
-    return SearchExhausted(bound, "quadratic")
+    return _certificate(phi, make_tower([-c_sf]), c)
 
 
 def verify_certificate(phi: QForm, cert: HypCertificate) -> bool:
@@ -331,7 +316,8 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
     certificate for psi (the form pi (x) phi of `lemma24_certificate` up to
     the order of its entries) is built without deciding them again.  When
     no multipliers are supplied, ten square classes represented by the norm
-    form are sampled.  The bound must be at least 1.
+    form are sampled.  The bound must be at least 1; it caps only the cost
+    of each certificate search, since every similarity factor certifies.
     """
     _check_bound(bound)
     if phi6.dim != 6:
@@ -366,12 +352,8 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
         if not in_G(psi, c_sf):
             report.multipliers.append(MultiplierResult(c_sf, "not-in-G"))
             continue
-        outcome = _certify_in_I4(psi, c, bound)
-        if isinstance(outcome, SearchExhausted):
-            report.multipliers.append(
-                MultiplierResult(c_sf, "not-found-within-bounds", bound=outcome.bound))
-        else:
-            report.multipliers.append(MultiplierResult(c_sf, "certificate", outcome))
+        cert = _certify_in_I4(psi, c, bound)
+        report.multipliers.append(MultiplierResult(c_sf, "certificate", cert))
     return report
 
 

@@ -18,7 +18,7 @@ from wittcert.arith import _class_product, _valuation_unit, legendre, prime_supp
 from wittcert.extensions import TRIVIAL_TOWER, hyperbolicity_evidence, is_hyperbolic_over, make_tower
 from wittcert.forms import is_hyperbolic, is_isometric, pfister, qform, represents, scale, tensor
 from wittcert.localfields import LocalFormClass, hilbert_symbol, local_square_class
-from wittcert.similitude import _MAX_FACTORS, _SMALL_PRIMES, HypCertificate, SearchExhausted, lemma_beta_search
+from wittcert.similitude import _MAX_FACTORS, _SMALL_PRIMES, HypCertificate, lemma_beta_search
 
 
 def perfect_square(n: int) -> bool:
@@ -383,7 +383,7 @@ def lemma24_by_search(pi, psi, c, bound):
     """The two-stage certificate search for a hypothesis-satisfying
     (pi, psi, c): an index-raising quadratic extension with c a norm, then,
     if that does not hyperbolise, a second generator against it.  Returns
-    the certificate, unverified, or the exhausted stage."""
+    the certificate, unverified, or None when the bound is exhausted."""
     phi = tensor(pi, psi)
     c_sf = squarefree_rep(c)
 
@@ -395,7 +395,7 @@ def lemma24_by_search(pi, psi, c, bound):
         return certificate(TRIVIAL_TOWER)
     d1 = lemma_beta_search(phi, c_sf, bound)
     if d1 is None:
-        return SearchExhausted(bound, "quadratic")
+        return None
     L = make_tower([d1])
     if is_hyperbolic_over(phi, L):
         return certificate(L)
@@ -405,7 +405,7 @@ def lemma24_by_search(pi, psi, c, bound):
         M = make_tower([d1, d2])
         if not M.downgraded and M.degree == 4 and is_hyperbolic_over(phi, M):
             return certificate(M)
-    return SearchExhausted(bound, "biquadratic")
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -234,16 +234,6 @@ class TestCliContract:
             assert out == {"error": "precondition-failed",
                            "detail": f"search bound must be at least 1, got {bound}"}
 
-    def test_non_integer_bound_variable_is_malformed_input(self, capsys, monkeypatch):
-        monkeypatch.setenv("WITTCERT_SEARCH_BOUND", "abc")
-        code, out = run_json(capsys, "lemma-beta", '{"form":{"diag":[1,1,1,1]},"a":1}')
-        assert code == 1
-        assert out == {"error": "malformed-input",
-                       "detail": "WITTCERT_SEARCH_BOUND is not an integer: 'abc'"}
-        monkeypatch.setenv("WITTCERT_SEARCH_BOUND", "2")
-        code, out = run_json(capsys, "lemma-beta", '{"form":{"diag":[1,1,1,1]},"a":3}')
-        assert code == 0 and out == {"d": -2}
-
 
 class TestRationalArguments:
     """Tower generators, quaternion slots, `d` and a certificate multiplier
@@ -295,6 +285,18 @@ class TestRationalArguments:
         code, out = run_cli(capsys, verb, '{"diag":["2000000000003/2000000000009", 1]}')
         assert code == 0, out
         assert run_cli(capsys, verb, '{"diag":["2000000000009/2000000000003", 1]}') == (code, out)
+
+    @pytest.mark.parametrize("verb, payload, expected", [
+        ("in-g", '{"form":{"diag":[1,1]},"c":"2000000000003/2000000000009"}',
+         {"c": "2000000000003/2000000000009", "in_g": False}),
+        ("lemma-beta", '{"form":{"diag":[1,1,1,1]},"a":"2000000000003/2000000000009"}',
+         {"d": -2}),
+    ])
+    def test_multiplier_with_parts_below_the_factorization_limit(self, capsys, verb,
+                                                                 payload, expected):
+        # The multiplier's square class lies beyond the limit; its primes
+        # come from the one factorization by parts.
+        assert run_json(capsys, verb, payload) == (0, expected)
 
     @pytest.mark.parametrize("n", ["2.7", "true", '"4"'])
     def test_in_in_n_must_be_an_integer(self, capsys, n):

@@ -13,7 +13,6 @@ To record the golden file after an intended output change, run
 import contextlib
 import io
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -139,6 +138,11 @@ PAYLOADS = [
     ("norm-member", '{"c":5,"d":1}'),
     # argument errors
     ("frobnicate", "{}"),
+    # searches that exhaust their bound, closed by Q(sqrt -c)
+    ("lemma24", '{"pi":{"pfister":[-1,-1]},"psi":{"diag":[1,1,1,1,1,-3]},"c":3}',
+     "--bound", "1"),
+    ("thm6", '{"phi":{"diag":[1,-2,6,5,2,7]},"q":[-1,-1],"multipliers":[2,3,21]}',
+     "--bound", "1"),
 ]
 
 CASES = [list(p) + extra for p in PAYLOADS for extra in ([], ["--trace"])]
@@ -163,13 +167,11 @@ def test_golden_lists_these_cases():
 
 
 @pytest.mark.parametrize("index", range(len(CASES)), ids=lambda i: " ".join(CASES[i])[:60])
-def test_cli_output_matches_golden(index, monkeypatch):
-    monkeypatch.delenv("WITTCERT_SEARCH_BOUND", raising=False)
+def test_cli_output_matches_golden(index):
     expected = json.loads(GOLDEN.read_text())[index]
     assert run(CASES[index]) == expected
 
 
 if __name__ == "__main__":
-    os.environ.pop("WITTCERT_SEARCH_BOUND", None)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([run(argv) for argv in CASES], indent=1) + "\n")

@@ -28,7 +28,7 @@ from wittcert.arith import squarefree_rep
 from wittcert.extensions import norm_member
 from wittcert.localfields import LocalField, LocalFormClass, Place, _base_reps, _split_planes, local_aniso_dim
 from wittcert.forms import InvariantViolation, QForm, in_G, pfister, qform, tensor
-from wittcert.similitude import HypCertificate, candidate_classes, lemma24_certificate
+from wittcert.similitude import HypCertificate, candidate_classes, lemma24_certificate, verify_certificate
 
 SQUAREFREE = [n for n in range(-150, 151) if n and squarefree_rep(n) == n]
 PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
@@ -163,8 +163,9 @@ class TestCandidateStream:
 
 
 class TestCertificateSearch:
-    """The one quadratic stage gives the certificates, or the exhausted
-    bound and stage, of the two-stage search it replaced."""
+    """The one quadratic stage gives the certificates of the two-stage search
+    it replaced, and where that search exhausts its bound, the verified
+    tower Q(sqrt -c)."""
 
     @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
     def test_same_outcomes_as_the_two_stage_search(self, seed):
@@ -180,6 +181,8 @@ class TestCertificateSearch:
                     assert got.tower.degree in (1, 2)
                     outcomes["certificate"] += 1
                 else:
-                    assert (got.bound, got.stage) == (want.bound, want.stage)
+                    assert want is None
+                    assert got.tower.generators == (-squarefree_rep(c),), (pi, psi, c, bound)
+                    assert verify_certificate(tensor(pi, psi), got)
                     outcomes["exhausted"] += 1
         assert outcomes["certificate"] and outcomes["exhausted"]

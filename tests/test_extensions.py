@@ -38,6 +38,8 @@ class TestMakeTower:
         assert t.generators == (2,) and t.downgraded
         t = make_tower([6, 24])
         assert t.generators == (6,) and t.downgraded
+        t = make_tower([2, 3, 6])  # 6 = 2 * 3 lies in the Kummer subgroup
+        assert t.generators == (2, 3) and t.downgraded
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):

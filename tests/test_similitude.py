@@ -19,8 +19,8 @@ from wittcert.forms import (
 )
 from wittcert.involutions import quaternion, norm_form
 from wittcert.similitude import (
+    DEFAULT_BOUND,
     HypCertificate,
-    SearchExhausted,
     candidate_classes,
     lemma24_certificate,
     lemma_beta_search,
@@ -84,6 +84,9 @@ class TestLemmaBetaSearch:
     def test_definite_form(self):
         # First candidate -1 raises the index 0 -> 2 and 1 is a norm everywhere.
         assert lemma_beta_search(qform([1, 1, 1, 1]), 1) == -1
+        # 2567 = 17 * 151: the first qualifying candidate, -2 * 151, draws on
+        # a prime of the multiplier beyond the small primes.
+        assert lemma_beta_search(qform([1, 1, 1, 1]), 2567) == -302
 
     def test_anisotropic_pfister(self):
         d = lemma_beta_search(pfister([2, 5]), -2)
@@ -168,15 +171,19 @@ class TestCertificates:
             assert verify_certificate(phi, cert)
             assert in_G(phi, cert.multiplier)
 
-    def test_bound_exhaustion_is_explicit_and_logged(self, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="wittcert"):
-            outcome = lemma24_certificate(pfister([-1, -1]), qform([1, 1, 1, 1, 1, -3]),
-                                          3, bound=1)
-        assert isinstance(outcome, SearchExhausted)
-        assert outcome.bound == 1 and outcome.stage == "quadratic"
-        assert any("exhausted" in rec.message for rec in caplog.records)
+    @pytest.mark.parametrize("c, bound", [
+        # bound 1 leaves only the candidate -1, and 3 is not a sum of two squares
+        (3, 1),
+        # no candidate of at most four primes has this c as a norm, at any bound
+        (3 * 7 * 11 * 19 * 23 * 31 * 43 * 47 * 59 * 67 * 71, DEFAULT_BOUND),
+    ])
+    def test_bound_exhaustion_closes_with_sqrt_minus_c(self, c, bound):
+        # c = N(sqrt -c) closes the search.
+        pi, psi = pfister([-1, -1]), qform([1, 1, 1, 1, 1, -3])
+        cert = lemma24_certificate(pi, psi, c, bound)
+        assert isinstance(cert, HypCertificate)
+        assert cert.tower == make_tower([-c]) and cert.multiplier == c
+        assert verify_certificate(tensor(pi, psi), cert)
 
 
 class TestVerifier:

@@ -64,21 +64,21 @@ def make_tower(ds) -> ExtensionTower:
     """Canonical tower from requested generators.  Square generators are
     discarded; a generator whose class already lies in the Kummer subgroup
     of the earlier ones is dependent and is dropped, with the downgraded
-    flag set."""
+    flag set.  A third independent generator is refused as soon as it is
+    met (a later generator never removes one already kept), so the subgroup
+    never exceeds four classes."""
     gens: list[int] = []
-    group = {1}
     downgraded = False
     for d in ds:
         if Fraction(d) == 0:
             raise DomainError("tower generator must be nonzero")
         c = squarefree_rep(d)
-        if c in group:
+        if c in ExtensionTower(tuple(gens)).subgroup():
             downgraded = downgraded or c != 1
             continue
+        if len(gens) == 2:
+            raise DomainError("towers of degree > 4 are out of scope")
         gens.append(c)
-        group |= {_class_product(c, h) for h in group}
-    if len(gens) > 2:
-        raise DomainError("towers of degree > 4 are out of scope")
     gens.sort(key=lambda d: (abs(d), d < 0))
     return ExtensionTower(tuple(gens), downgraded)
 

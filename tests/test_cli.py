@@ -201,6 +201,20 @@ class TestCliContract:
         code, out = run_json(capsys, "lemma-beta", '{"form":{"diag":[1,-1]},"a":1}')
         assert code == 2 and out["error"] == "precondition-failed"
 
+    def test_third_independent_tower_generator_is_refused_at_once(self, capsys):
+        # The tower is refused when its third independent generator is met,
+        # before the remaining ones are read: the Kummer subgroup never grows
+        # past four classes, however many generators are supplied.
+        primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+        assert len(primes) == 30
+        for verb, payload in [
+            ("witt", {"form": {"diag": [1, 1, 1]}, "tower": {"tower": primes}}),
+            ("norm-member", {"c": 2, "tower": primes}),
+        ]:
+            code, out = run_json(capsys, verb, json.dumps(payload))
+            assert code == 2 and out == {"error": "precondition-failed",
+                                         "detail": "towers of degree > 4 are out of scope"}
+
     def test_byte_identical_output(self, capsys):
         payload = '{"phi":{"diag":[1,1,1,1,1,2]},"q":[2,5],"multipliers":[1,-2,10,-5]}'
         _, out1 = run_cli(capsys, "thm6", payload)

@@ -41,6 +41,10 @@ class TestMakeTower:
         t = make_tower([2, 3, 6])  # 6 = 2 * 3 lies in the Kummer subgroup
         assert t.generators == (2, 3) and t.downgraded
 
+    def test_third_independent_generator_rejected(self):
+        with pytest.raises(DomainError, match="degree > 4"):
+            make_tower([2, 3, 6, 5])
+
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             make_tower([0])

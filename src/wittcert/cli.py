@@ -7,7 +7,9 @@ Exit status: 0 on success (including the explicit not-found result of
 `lemma-beta`), 2 when a hypothesis check or precondition fails (the failing
 check is named), 1 on malformed input, 3 on input beyond a fixed size limit
 (`limit-exceeded`: a form descriptor expanding above
-`codecs.MAX_EXPANDED_DIM` dimensions).  Output is deterministic: fixed key
+`codecs.MAX_EXPANDED_DIM` dimensions), 141 when the reader closes standard
+output before the answer is written (the status of a process that a shell
+pipe ends by SIGPIPE; nothing is printed).  Output is deterministic: fixed key
 order, exact integers and rational strings, never floats; it depends on the
 arguments alone, never on the environment.  `--bound` decides whether
 `lemma-beta` finds an extension; for `lemma24` and `thm6` it caps only the
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arith import DomainError
@@ -41,6 +44,9 @@ VERBS = (
     "in-g", "in-in", "quaternion", "delta", "reduce", "lemma-beta",
     "lemma24", "thm4", "thm6", "verify-cert", "norm-member",
 )
+
+
+EXIT_CLOSED_PIPE = 141
 
 
 class HypothesisFailure(Exception):
@@ -212,6 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        status = _answer(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (`wittcert ... | head`): stdout goes to devnull
+        # so that the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return status
+
+
+def _answer(argv) -> int:
+    """Run one invocation and print its JSON; the exit status."""
     parser = build_parser()
     try:
         opts = parser.parse_args(argv)

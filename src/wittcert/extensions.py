@@ -157,7 +157,12 @@ def norm_member(c: Rat, d: int) -> bool:
     d, d_primes = _squarefree_part(d)
     if d == 1:
         raise DomainError("trivial extension: norm group is all of Q*")
-    c, c_primes = _squarefree_part(c)
+    return _norm_member(*_squarefree_part(c), d, d_primes)
+
+
+def _norm_member(c: int, c_primes, d: int, d_primes) -> bool:
+    """`norm_member` for square-free c and d != 1 given with their primes,
+    so neither is factored again."""
     if c < 0 and d < 0:
         return False
     return _symbol_split_at(c, d, {2, *c_primes, *d_primes})

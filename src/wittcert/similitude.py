@@ -24,6 +24,7 @@ from .extensions import (
     ExtensionTower,
     PlaceEvidence,
     TRIVIAL_TOWER,
+    _norm_member,
     hyperbolicity_evidence,
     is_hyperbolic_over,
     make_tower,
@@ -37,7 +38,6 @@ from .forms import (
     _pfister_entries,
     _support_among,
     in_G,
-    in_In,
     orth_sum,
     pfister_slots,
     signature,
@@ -171,8 +171,9 @@ def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND) -> int | N
 # Certificates.
 
 
-def _certificate(phi: QForm, tower: ExtensionTower, c_original: Rat) -> HypCertificate:
-    c_sf = squarefree_rep(c_original)
+def _certificate(phi: QForm, tower: ExtensionTower, c_original: Rat, c_sf: int) -> HypCertificate:
+    """The certificate for phi over the tower, c_sf the square class of the
+    multiplier c_original; verified before it is returned."""
     adjustment = Fraction(c_sf) / Fraction(c_original)
     assert adjustment > 0 and _is_rational_square(adjustment)
     cert = HypCertificate(
@@ -186,6 +187,24 @@ def _certificate(phi: QForm, tower: ExtensionTower, c_original: Rat) -> HypCerti
     return cert
 
 
+def _tensor_hypotheses(phi: QForm) -> tuple[bool, bool]:
+    """(phi in I^4, phi hyperbolic) for phi = pi (x) psi, pi a 2-fold Pfister
+    form and psi even-dimensional, both read off the signature.
+
+    phi is hyperbolic at every prime p.  If pi is isotropic over Q_p it is
+    hyperbolic.  Otherwise it is universal, so a pi = pi for every a and
+    pi (x) psi is a sum of copies of 2 pi = <<-1, a, b>>, which has dimension
+    8 > 4 and is therefore isotropic, hence hyperbolic (Lam, Introduction to
+    Quadratic Forms over Fields, VI.2 and X; Serre, A Course in Arithmetic,
+    IV.2).  So phi has trivial discriminant and split finite Hasse data: it
+    lies in I^4 iff 16 divides its signature, and c phi = phi holds at every
+    prime, so c is a similarity factor iff c > 0 or phi is hyperbolic
+    (signature 0).  `tests/test_closed_forms.py` checks the local fact on
+    every base completion Q_p, p <= 13."""
+    sig = signature(phi)
+    return sig % 16 == 0, sig == 0
+
+
 def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
                         bound: int = DEFAULT_BOUND) -> HypCertificate:
     """For phi = pi (x) psi in I^4 (pi a 2-fold Pfister form, psi of dimension
@@ -193,17 +212,20 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
     is trivial or imaginary quadratic, with phi hyperbolic over the tower and
     c in Q*^2 * N*.
 
-    Over Q the tower follows from two theorems.  I^3(Q) is torsion-free and
-    detected by the signature, so a phi of signature 0 is hyperbolic and the
-    tower is Q.  Otherwise phi is Witt equivalent to a multiple of 16<1> and
-    c > 0.  For d > 0 the real place survives in Q(sqrt d), so the Witt
-    index cannot rise; for d < 0 the field is totally imaginary, its I^3 is
-    0 and phi becomes hyperbolic.  The tower is therefore Q(sqrt d) for the
-    first negative candidate d with c a norm from it: the first candidate of
-    the index-raising search (`lemma_beta_search`).  When no candidate within
-    the bound qualifies, d = -c closes the search: c = N(sqrt -c).  The bound
-    caps the cost of the search, never whether a certificate exists.  Every
-    certificate is still verified from scratch before it is returned.
+    Both hypotheses are read off the signature of phi, which is hyperbolic
+    at every prime (`_tensor_hypotheses`): no place is walked to decide
+    them, and c is factored once.  The tower follows from two theorems.
+    I^3(Q) is torsion-free and detected by the signature, so a phi of
+    signature 0 is hyperbolic and the tower is Q.  Otherwise phi is Witt
+    equivalent to a multiple of 16<1> and c > 0.  For d > 0 the real place
+    survives in Q(sqrt d), so the Witt index cannot rise; for d < 0 the
+    field is totally imaginary, its I^3 is 0 and phi becomes hyperbolic.
+    The tower is therefore Q(sqrt d) for the first negative candidate d
+    with c a norm from it: the first candidate of the index-raising search
+    (`lemma_beta_search`).  When no candidate within the bound qualifies,
+    d = -c closes the search: c = N(sqrt -c).  The bound caps the cost of
+    the search, never whether a certificate exists.  Every certificate is
+    still verified from scratch before it is returned.
     """
     _check_bound(bound)
     if pfister_slots(pi) is None or pi.dim != 4:
@@ -211,26 +233,31 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
     if psi.dim != 6:
         raise DomainError("second argument must be 6-dimensional")
     phi = tensor(pi, psi)
-    if not in_In(phi, 4):
+    in_i4, hyperbolic = _tensor_hypotheses(phi)
+    if not in_i4:
         raise DomainError("pi (x) psi does not lie in I^4")
-    if not in_G(phi, c):
-        raise DomainError(f"{c} is not a similarity factor of pi (x) psi")
-    return _certify_in_I4(phi, c, bound)
-
-
-def _certify_in_I4(phi: QForm, c: Rat, bound: int) -> HypCertificate:
-    """The certificate of `lemma24_certificate` for a form phi in I^4 and a
-    similarity factor c of it, both verdicts already decided by the caller:
-    the trivial tower when phi has signature 0, else the first negative
-    candidate within the bound with c a norm, else Q(sqrt -c).  The
-    certificate is verified before it is returned."""
-    if signature(phi) == 0:
-        return _certificate(phi, TRIVIAL_TOWER, c)
+    if Fraction(c) == 0:
+        raise DomainError("similarity factor must be nonzero")
     c_sf, primes = _squarefree_part(c)
+    if c_sf < 0 and not hyperbolic:
+        raise DomainError(f"{c} is not a similarity factor of pi (x) psi")
+    return _certify_in_I4(phi, c, c_sf, primes, bound)
+
+
+def _certify_in_I4(phi: QForm, c: Rat, c_sf: int, primes, bound: int) -> HypCertificate:
+    """The certificate of `lemma24_certificate` for a form phi = pi (x) psi
+    in I^4 and a similarity factor c of it, of square class c_sf with the
+    given primes; both verdicts are already read off the signature by the
+    caller, and c is not factored again.  The tower is trivial when phi has
+    signature 0, else Q(sqrt d) for the first negative candidate d within
+    the bound with c a norm, else Q(sqrt -c).  The certificate is verified
+    before it is returned."""
+    if signature(phi) == 0:
+        return _certificate(phi, TRIVIAL_TOWER, c, c_sf)
     for d in candidate_classes(phi.support.union(primes), bound):
-        if d < 0 and norm_member(c_sf, d):
-            return _certificate(phi, make_tower([d]), c)
-    return _certificate(phi, make_tower([-c_sf]), c)
+        if d < 0 and _norm_member(c_sf, primes, d, _squarefree_part(d)[1]):
+            return _certificate(phi, make_tower([d]), c, c_sf)
+    return _certificate(phi, make_tower([-c_sf]), c, c_sf)
 
 
 def verify_certificate(phi: QForm, cert: HypCertificate) -> bool:
@@ -311,13 +338,14 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
 
     Checks, in order: degree 12, index <= 2, trivial involution discriminant,
     psi = phi (x) <<a,b>> in I^4.  A failing check halts the pipeline and is
-    recorded in the report (not raised).  Each verdict is decided once: psi
-    in I^4 for the instance and c in G(psi) per multiplier, and the
-    certificate for psi (the form pi (x) phi of `lemma24_certificate` up to
-    the order of its entries) is built without deciding them again.  When
-    no multipliers are supplied, ten square classes represented by the norm
-    form are sampled.  The bound must be at least 1; it caps only the cost
-    of each certificate search, since every similarity factor certifies.
+    recorded in the report (not raised).  psi is the form pi (x) phi of
+    `lemma24_certificate` up to the order of its entries, hyperbolic at
+    every prime, so psi in I^4 and each c in G(psi) are read off its
+    signature (`_tensor_hypotheses`), and each multiplier is factored once
+    for its status and its certificate.  When no multipliers are supplied,
+    ten square classes represented by the norm form are sampled.  The bound
+    must be at least 1; it caps only the cost of each certificate search,
+    since every similarity factor certifies.
     """
     _check_bound(bound)
     if phi6.dim != 6:
@@ -339,7 +367,7 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
 
     psi = reduce_to_form(alg)
     report.psi = psi
-    in_i4 = in_In(psi, 4)
+    in_i4, hyperbolic = _tensor_hypotheses(psi)
     report.checks.append(("psi-in-I4", in_i4, f"dim psi = {psi.dim}"))
     if not in_i4:
         report.halted_at = "psi-in-I4"
@@ -348,11 +376,11 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
     if multipliers is None:
         multipliers = _norm_values(q, 10, seed)
     for c in multipliers:
-        c_sf = squarefree_rep(c)
-        if not in_G(psi, c_sf):
+        c_sf, primes = _squarefree_part(c)
+        if c_sf < 0 and not hyperbolic:
             report.multipliers.append(MultiplierResult(c_sf, "not-in-G"))
             continue
-        cert = _certify_in_I4(psi, c, bound)
+        cert = _certify_in_I4(psi, c, c_sf, primes, bound)
         report.multipliers.append(MultiplierResult(c_sf, "certificate", cert))
     return report
 

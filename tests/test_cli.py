@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from wittcert import cli, extensions, involutions, similitude
-from wittcert.cli import main
+from wittcert.cli import EXIT_CLOSED_PIPE, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -352,6 +352,21 @@ class TestProcess:
         proc = run_process("-m", "wittcert.cli", "isotropic", payload)
         assert proc.returncode == 3 and json.loads(proc.stdout)["error"] == "limit-exceeded"
         assert "Traceback" not in proc.stderr
+
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        # About 160 kB of output: more than the pipe holds, so the CLI is
+        # still writing when the reader closes the pipe after one line.
+        payload = json.dumps({"phi": {"diag": [1, 1, 1, 1, 1, -3]}, "q": [-1, -1],
+                              "multipliers": list(range(2, 102))})
+        proc = subprocess.Popen([sys.executable, "-m", "wittcert.cli", "thm6", payload, "--trace"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_CLOSED_PIPE
+        assert stderr == b""
 
     def test_import_leaves_logging_unloaded(self):
         proc = run_process("-c", "import sys, wittcert.cli; print('logging' in sys.modules)")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 from oracles import (
     aniso_dim_by_descent,
@@ -24,10 +24,18 @@ from oracles import (
 )
 from test_acceptance import _generate_lemma24_instances
 from wittcert import codecs, forms
-from wittcert.arith import squarefree_rep
+from wittcert.arith import _class_product, squarefree_rep
 from wittcert.extensions import norm_member
-from wittcert.localfields import LocalField, LocalFormClass, Place, _base_reps, _split_planes, local_aniso_dim
-from wittcert.forms import InvariantViolation, QForm, in_G, pfister, qform, tensor
+from wittcert.localfields import (
+    LocalField,
+    LocalFormClass,
+    Place,
+    _base_reps,
+    _split_planes,
+    form_class_at,
+    local_aniso_dim,
+)
+from wittcert.forms import InvariantViolation, QForm, _pfister_entries, in_G, pfister, qform, signature, tensor
 from wittcert.similitude import HypCertificate, candidate_classes, lemma24_certificate, verify_certificate
 
 SQUAREFREE = [n for n in range(-150, 151) if n and squarefree_rep(n) == n]
@@ -77,6 +85,38 @@ class TestSplitPlanes:
                             checked += 1
         # 105 (completion, discriminant) pairs, 2 Hasse values, 240 (n, m).
         assert checked == 50400
+
+
+class TestPfisterTensorHyperbolicAtEveryPrime:
+    """pi (x) psi, pi a 2-fold Pfister form and psi 6-dimensional, is
+    hyperbolic over every Q_p: the fact from which `lemma24_certificate` and
+    `thm6_pipeline` read I^4 membership and similarity factors off the
+    signature.  Both hypotheses are about forms over Q, so only the base
+    completions enter."""
+
+    def test_every_pair_of_slots_and_every_psi_over_Q_p(self):
+        # Every ordered pair of slots and every 6-element multiset of
+        # entries, by class representatives, p <= 13.
+        checked = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            E = LocalField(Place(p))
+            reps = _base_reps(p)
+            psis = list(combinations_with_replacement(reps, 6))
+            for slots in product(reps, repeat=2):
+                pi = _pfister_entries(slots)
+                for psi in psis:
+                    entries = tuple(_class_product(a, b) for a in pi for b in psi)
+                    assert local_aniso_dim(form_class_at(entries, E), E) == 0, (p, slots, psi)
+                    checked += 1
+        # 8^2 * C(13, 6) at p = 2, 4^2 * C(9, 6) at each odd p.
+        assert checked == 109824 + 5 * 1344
+
+    def test_real_place_signature_is_multiplicative(self):
+        for slots in product((1, -1), repeat=2):
+            pi = pfister(slots)
+            for signs in product((1, -1), repeat=6):
+                psi = qform(signs)
+                assert signature(tensor(pi, psi)) == signature(pi) * signature(psi), (slots, signs)
 
 
 class TestSimilarityFactors:

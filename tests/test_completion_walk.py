@@ -274,13 +274,19 @@ class TestOneClassPerCompletion:
                 assert primes == finite
         assert classes == [] and isometries == []
 
-    def test_thm6_decides_each_verdict_once(self, monkeypatch):
+    def test_thm6_and_lemma24_read_their_verdicts_off_the_signature(self, monkeypatch):
+        # pi (x) psi is hyperbolic at every prime, so neither search walks
+        # the places to decide I^4 or G.
         decided = {"in_In": [], "in_G": []}
         spy(monkeypatch, forms.in_In, decided["in_In"])
         spy(monkeypatch, forms.in_G, decided["in_G"])
         report = thm6_pipeline(qform([1, 1, 1, 1, 1, 2]), quaternion(2, 5), [1, -2, 10])
         assert [m.status for m in report.multipliers] == ["certificate"] * 3
-        assert len(decided["in_In"]) == 1 and len(decided["in_G"]) == 3
+        report = thm6_pipeline(qform([1, 1, 1, 1, 1, -3]), quaternion(-1, -1), [2, -2])
+        assert [m.status for m in report.multipliers] == ["certificate", "not-in-G"]
+        for nf, psi, c in _generate_lemma24_instances(random.Random(24), 6):
+            lemma24_certificate(nf, psi, c)
+        assert decided == {"in_In": [], "in_G": []}
 
     def test_lemma24_makes_no_witt_decomposition(self, monkeypatch):
         calls = []

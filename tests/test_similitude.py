@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wittcert.arith import DomainError, squarefree_rep
 from wittcert.extensions import TRIVIAL_TOWER, make_tower, norm_member, witt_index_over
@@ -184,6 +185,104 @@ class TestCertificates:
         assert isinstance(cert, HypCertificate)
         assert cert.tower == make_tower([-c]) and cert.multiplier == c
         assert verify_certificate(tensor(pi, psi), cert)
+
+
+magnitude = st.integers(1, 30)
+# Integers and rationals of either sign; 0 is drawn now and then.
+multiplier = st.one_of(
+    st.integers(-200, 200),
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60)),
+)
+
+
+@st.composite
+def signed(draw, size):
+    """`size` nonzero integers, the number of negative ones uniform in
+    0..size, so that definite and near-definite forms are common."""
+    values = draw(st.lists(magnitude, min_size=size, max_size=size))
+    negative = draw(st.sampled_from(range(size + 1)))
+    return [-v if i < negative else v for i, v in enumerate(values)]
+
+
+# Pfister slots, both negative (a definite <<a, b>>) half the time.
+slots = st.one_of(st.lists(magnitude, min_size=2, max_size=2).map(lambda v: [-a for a in v]),
+                  signed(2))
+
+
+@st.composite
+def thm6_instances(draw):
+    """(phi6 entries, (a, b)); half the time the last entry makes disc phi6
+    a value of <<a, b>>, so that the involution discriminant is trivial and
+    the pipeline reaches its psi-in-I4 check."""
+    a, b = draw(slots)
+    entries = draw(signed(5))
+    nf = pfister([squarefree_rep(a), squarefree_rep(b)])
+    x = draw(st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+    value = sum(e * t * t for e, t in zip(nf.entries, x))
+    if value and draw(st.booleans()):
+        last = -value
+        for e in entries:
+            last *= e
+    else:
+        last = draw(signed(1))[0]
+    return entries + [squarefree_rep(last)], (a, b)
+
+
+def hypotheses_by_oracle(phi, c) -> str | None:
+    """The DomainError text of the general route, in_In(phi, 4) then
+    in_G(phi, c), or None when both hold."""
+    if not in_In(phi, 4):
+        return "pi (x) psi does not lie in I^4"
+    try:
+        if not in_G(phi, c):
+            return f"{c} is not a similarity factor of pi (x) psi"
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class TestHypothesesAgreeWithTheGeneralRoute:
+    """lemma24 and thm6 read I^4 and G off the signature; in_In and in_G,
+    which walk every place, are the oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(slots, signed(6), multiplier)
+    @example([-1, -1], [1, 1, 1, 1, 1, 2], 0)   # not in I^4, and c = 0
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], 0)  # in I^4, and c = 0
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], Fraction(-7, 3))
+    @example([2, 5], [1, 1, 1, 1, 1, 2], -5)
+    def test_lemma24(self, ab, entries, c):
+        pi, psi = pfister([squarefree_rep(a) for a in ab]), qform(entries)
+        want = hypotheses_by_oracle(tensor(pi, psi), c)
+        try:
+            cert = lemma24_certificate(pi, psi, c)
+        except DomainError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+            assert cert.multiplier == squarefree_rep(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(thm6_instances(), st.lists(multiplier.filter(bool), min_size=1, max_size=3))
+    @example(([1, 1, 1, 1, 1, -3], (-1, -1)), [Fraction(-7, 3), 2])
+    def test_thm6(self, instance, multipliers):
+        entries, ab = instance
+        rep = thm6_pipeline(qform(entries), quaternion(*ab), multipliers)
+        if rep.psi is None:
+            assert rep.halted_at == "delta-trivial"
+            return
+        checks = {name: ok for name, ok, _ in rep.checks}
+        assert checks["psi-in-I4"] == in_In(rep.psi, 4)
+        if not checks["psi-in-I4"]:
+            assert rep.halted_at == "psi-in-I4" and not rep.multipliers
+            return
+        assert [m.multiplier for m in rep.multipliers] == [squarefree_rep(c) for c in multipliers]
+        for m in rep.multipliers:
+            assert (m.status == "certificate") == in_G(rep.psi, m.multiplier), m
+
+    def test_thm6_multiplier_zero(self):
+        with pytest.raises(DomainError, match="squarefree_rep of 0"):
+            thm6_pipeline(qform([1, 1, 1, 1, 1, -3]), quaternion(-1, -1), [0])
 
 
 class TestVerifier:

@@ -55,7 +55,7 @@ class HypothesisFailure(Exception):
 
 def _form_invariants(phi, trace: bool) -> dict:
     walk = [(v, E, form_class_at(phi.entries, E)) for v, E, _ in completions(phi.support)]
-    w, aniso, cls = witt_decompose(phi, walk[1:])
+    w, aniso, cls = witt_decompose(phi, walk)
     out = {
         "dim": phi.dim,
         "disc": disc(phi),
@@ -73,7 +73,7 @@ def _form_invariants(phi, trace: bool) -> dict:
 def _minus_places(cls) -> list[str]:
     """The places where a Witt class has Hasse invariant -1, real first,
     then the primes in increasing order."""
-    return [codecs.dump_place(v) for v in sorted(cls.hasse_minus_places, key=Place.sort_key)]
+    return [str(v) for v in sorted(cls.hasse_minus_places, key=Place.sort_key)]
 
 
 def _run_verb(verb: str, payload, opts) -> dict:

@@ -20,7 +20,7 @@ class ParseError(DomainError):
 from .extensions import ExtensionTower, make_tower
 from .forms import QForm, orth_sum, pfister, qform, scale, tensor
 from .involutions import InvolutionAlgebra, QuaternionAlg, quaternion
-from .localfields import LocalField, Place
+from .localfields import LocalField
 from .similitude import HypCertificate, MultiplierResult, PipelineReport, PfisterDecomposition
 
 CERTIFICATE_SCHEMA = "hyp-certificate/1"
@@ -162,16 +162,12 @@ def parse_inv_algebra(obj) -> InvolutionAlgebra:
 
 
 # ----------------------------------------------------------------------
-# Places, completions, certificates, reports.
-
-
-def dump_place(v: Place) -> str:
-    return str(v)
+# Completions, certificates, reports.
 
 
 def dump_completion(E: LocalField) -> dict:
     return {
-        "base": dump_place(E.base),
+        "base": str(E.base),
         "generators": list(E.gens),
         "e": E.e,
         "f": E.f,
@@ -194,7 +190,7 @@ def dump_evidence(evidence) -> list[dict]:
     multiplicity and the local verdict."""
     return [
         {
-            "place": dump_place(ev.place),
+            "place": str(ev.place),
             "completion": dump_completion(ev.completion),
             "multiplicity": ev.multiplicity,
             "local_verdict": {"aniso_dim": ev.aniso_dim,

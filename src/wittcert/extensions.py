@@ -175,8 +175,4 @@ def norm_member_tower(c: Rat, M: ExtensionTower) -> bool:
     N*_L cap N*_L' = Q*^2 * N*_M)."""
     if Fraction(c) == 0:
         raise DomainError("norm membership of 0")
-    if M.degree == 1:
-        return True
-    if M.degree == 2:
-        return norm_member(c, M.generators[0])
-    return norm_member(c, M.generators[0]) and norm_member(c, M.generators[1])
+    return all(norm_member(c, g) for g in M.generators)

@@ -5,12 +5,15 @@ similarity-factor tests.
 Forms are identified with diagonal representatives over square classes;
 isometry is decided by the complete invariant set (dimension, discriminant,
 signature, Hasse invariants at all places), which classifies forms over Q.
-Each decision takes its local classes from the walk
-`localfields.completions` over the real place, 2 and the primes of the form,
-one class per completion; isotropy stops at the first obstructing place.
+Every verdict is a fold over the walk `localfields.completions` over the
+real place, 2 and the primes of the form, one `form_class_at` per
+completion; the real place is one more completion, and the local laws
+(`local_aniso_dim`, `_split_planes`) hold there as at every prime, so no
+decision treats it apart.  Isotropy stops at the first obstructing place.
+How a local class is encoded is known only to `localfields`.
 Membership in I^n is decided by one exact criterion for the rational Witt
 ring, shared by `in_In` and the Arason-Pfister guard of `witt_decompose`:
-even dimension, trivial discriminant, split Hasse data at the finite places
+even dimension, trivial discriminant, split Hasse data at every completion
 and signature divisible by 8 resp. 16.  (High powers of the fundamental
 ideal are torsion-free over Q; this classical fact is trusted here,
 everything else is recomputed.)
@@ -26,18 +29,12 @@ from fractions import Fraction
 
 from .arith import DomainError, Rat, _class_product, _squarefree_part
 from .localfields import (
-    REAL,
     LocalField,
     Place,
-    _class_histogram,
-    _class_index,
-    _histogram_class,
     _split_planes,
     _symbol_split_at,
-    _translate,
     completions,
     form_class_at,
-    hilbert_symbol,
     local_aniso_dim,
 )
 
@@ -165,28 +162,24 @@ def witt_decompose(phi: QForm, local=None) -> tuple[int, int, WittClassQ]:
     """(witt_index, aniso_dim, aniso_class): phi = (anisotropic kernel) + witt_index x H.
 
     The anisotropic dimension is the largest local anisotropic dimension
-    (iterated Hasse-Minkowski): |signature| at the real place, and at each
-    finite place of the walk the dimension read off the one local class
-    computed there.  The kernel's Hasse invariant at each finite place is
-    that class's with the witt_index hyperbolic planes split off, in closed
-    form (`localfields._split_planes`).  The Arason-Pfister guard reads the
-    same classes and raises `InvariantViolation` if a form in I^4 has
-    anisotropic dimension strictly between 0 and 16.  A caller that already
-    holds the classes passes them as `local`: (place, completion,
-    form_class_at) at each finite place of `completions(phi.support)`.
+    (iterated Hasse-Minkowski), read off the one local class computed at
+    each completion of the walk, the real place included (where it is
+    |signature|).  The kernel's Hasse invariant at each place is that
+    class's with the witt_index hyperbolic planes split off, in closed form
+    (`localfields._split_planes`).  The Arason-Pfister guard reads the same
+    classes and raises `InvariantViolation` if a form in I^4 has anisotropic
+    dimension strictly between 0 and 16.  A caller that already holds the
+    classes passes them as `local`: (place, completion, form_class_at) at
+    each completion of `completions(phi.support)`.
     """
     n = phi.dim
     d = disc(phi)
     sig = signature(phi)
     if local is None:
-        local = [(v, E, form_class_at(phi.entries, E))
-                 for v, E, _ in completions(phi.support) if not v.is_real]
-    aniso = max([abs(sig)] + [local_aniso_dim(cls, E) for _, E, cls in local])
+        local = [(v, E, form_class_at(phi.entries, E)) for v, E, _ in completions(phi.support)]
+    aniso = max(local_aniso_dim(cls, E) for _, E, cls in local)
     witt_index = (n - aniso) // 2
     minus = {v for v, E, cls in local if _split_planes(cls.hasse, d, n, aniso, E) == -1}
-    negs = (aniso - sig) // 2
-    if (negs * (negs - 1) // 2) % 2:
-        minus.add(REAL)
     cls = WittClassQ(aniso % 2, d if aniso else 1, frozenset(minus), sig)
     if _in_I(4, n, d, sig, ((c, E) for _, E, c in local)) and 0 < aniso < 16:
         raise InvariantViolation(
@@ -210,27 +203,20 @@ def is_hyperbolic(phi: QForm) -> bool:
 
 def is_isometric(phi: QForm, psi: QForm) -> bool:
     """Complete invariant test: dimension, discriminant, signature, and Hasse
-    invariants at every finite place of the walk over the joint prime
-    support (the signature decides the real place)."""
+    invariants at every completion of the walk over the joint prime
+    support (at the real place the signature already fixes it)."""
     if phi.dim != psi.dim:
         return False
     if disc(phi) != disc(psi) or signature(phi) != signature(psi):
         return False
     return all(form_class_at(phi.entries, E).hasse == form_class_at(psi.entries, E).hasse
-               for v, E, _ in completions(phi.support | psi.support) if not v.is_real)
+               for _, E, _ in completions(phi.support | psi.support))
 
 
 def witt_equivalent(phi: QForm, psi: QForm) -> bool:
-    """Same Witt class: pad the smaller form with hyperbolic planes, then
-    compare the complete invariants."""
-    a, b = phi, psi
-    if (a.dim - b.dim) % 2:
-        return False
-    while a.dim < b.dim:
-        a = orth_sum(a, HYPERBOLIC_PLANE)
-    while b.dim < a.dim:
-        b = orth_sum(b, HYPERBOLIC_PLANE)
-    return is_isometric(a, b)
+    """Same Witt class: phi - psi, the orthogonal sum of phi and -psi, is
+    hyperbolic."""
+    return is_hyperbolic(orth_sum(phi, _scaled(-1, (), psi)))
 
 
 # ----------------------------------------------------------------------
@@ -306,9 +292,8 @@ def in_G(phi: QForm, c: Rat) -> bool:
     of the Hasse invariant (Lam, Ch. V) gives: c is a similarity factor iff
     c > 0 or sig phi = 0, and (c, disc phi)_p = +1 at every prime p of the
     support of phi and of c (elsewhere both are units at an odd p).  The
-    verdict is checked against the complete invariant test of c*phi = phi,
-    which reads s_p(c phi) from phi's class histogram translated by the
-    class of c (`_isometric_to_scaled`); disagreement means an engine bug."""
+    verdict is checked against the complete invariant test `is_isometric`
+    of c*phi = phi; disagreement means an engine bug."""
     if Fraction(c) == 0:
         raise DomainError("similarity factor must be nonzero")
     c, primes = _squarefree_part(c)
@@ -317,7 +302,7 @@ def in_G(phi: QForm, c: Rat) -> bool:
     else:
         closed = (c > 0 or signature(phi) == 0) and _symbol_split_at(
             c, disc(phi), phi.support.union(primes))
-    if closed != _isometric_to_scaled(phi, c, primes):
+    if closed != is_isometric(phi, _scaled(c, primes, phi)):
         raise InvariantViolation(
             f"in_G closed form disagrees with the isometry test for {phi}, c={c}: "
             f"closed form {closed}"
@@ -325,48 +310,26 @@ def in_G(phi: QForm, c: Rat) -> bool:
     return closed
 
 
-def _isometric_to_scaled(phi: QForm, c: int, primes) -> bool:
-    """The complete invariant test of c*phi = phi, c a square-free integer
-    with the given primes (so c is not factored again): the discriminant and
-    signature of c*phi against those of phi (scaling keeps the dimension),
-    and the Hasse invariants at every finite place of the walk over the
-    joint support.  At each place one class
-    histogram is built: s_p(c phi) is read from phi's histogram translated by
-    the class of c, a product in the group ring Z[Q_p*/Q_p*^2]."""
-    psi = _scaled(c, primes, phi)
-    if disc(psi) != disc(phi) or signature(psi) != signature(phi):
-        return False
-    for v, E, _ in completions(phi.support | psi.support):
-        if v.is_real:
-            continue
-        hist = _class_histogram(phi.entries, v.p)
-        scaled = _translate(hist, _class_index(c, v.p))
-        if _histogram_class(hist, E).hasse != _histogram_class(scaled, E).hasse:
-            return False
-    return True
-
-
 def in_In(phi: QForm, n: int) -> bool:
     """Membership of the Witt class in the n-th power of the fundamental
     ideal, 1 <= n <= 4."""
     if n not in (1, 2, 3, 4):
         raise DomainError("only I^1..I^4 are supported")
-    local = ((form_class_at(phi.entries, E), E)
-             for v, E, _ in completions(phi.support) if not v.is_real)
+    local = ((form_class_at(phi.entries, E), E) for _, E, _ in completions(phi.support))
     return _in_I(n, phi.dim, disc(phi), signature(phi), local)
 
 
 def _in_I(n: int, dim: int, d: int, sig: int, local) -> bool:
     """The exact criterion for I^n over Q, 1 <= n <= 4, from the dimension,
     discriminant and signature of a form and its (class, completion) pairs
-    at the finite places of the walk, which are read only when every
-    global condition holds: even dimension; for n >= 2 trivial
-    discriminant; for n >= 3 signature divisible by 8 resp. 16 and the Hasse
-    invariant of dim/2 hyperbolic planes at every finite place."""
+    along the walk, which are read only when every global condition holds:
+    even dimension; for n >= 2 trivial discriminant; for n >= 3 signature
+    divisible by 8 resp. 16 and, at every completion, the Hasse invariant
+    of dim/2 hyperbolic planes (the class splits into planes with nothing
+    left, `_split_planes`; at the real place the signature implies it)."""
     if dim % 2 or (n >= 2 and d != 1):
         return False
     if n <= 2:
         return True
-    k = dim // 2
     return sig % (8 if n == 3 else 16) == 0 and all(
-        cls.hasse == hilbert_symbol(-1, -1, E) ** (k * (k - 1) // 2) for cls, E in local)
+        _split_planes(cls.hasse, 1, dim, 0, E) == 1 for cls, E in local)

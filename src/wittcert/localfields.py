@@ -25,13 +25,15 @@ Z[Q_p*/Q_p*^2].  Each distinct entry is mapped once to its class, and
 equal entries only add to its count; the discriminant and the Hasse
 invariant then come from the at most 8 class counts by the multiplicity
 law and a table of the closed-form symbols, without calling
-`hilbert_symbol`.  Scaling a form by c translates its histogram by the
-class of c.  No local answer is memoised.
+`hilbert_symbol`.  These numbers, histograms and symbol tables are private
+to this module: other modules read local data only through `form_class_at`,
+`local_aniso_dim`, `_split_planes` and the symbols.  No local answer is
+memoised.
 
 `completions` walks the completions of a tower above the real place, 2 and
 the primes of an instance in a fixed order.  Every local-global decision in
 `forms`, `extensions` and the CLI reads its local classes from that walk,
-one `form_class_at` per form and completion.
+one `form_class_at` per form and completion, the real place included.
 """
 
 from __future__ import annotations
@@ -344,12 +346,6 @@ def _class_histogram(entries, p: int) -> list[int]:
     return hist
 
 
-def _translate(hist: list[int], i: int) -> list[int]:
-    """The histogram of c * phi from that of phi, c of class number i: the
-    group-ring product with the class of c."""
-    return [hist[j ^ i] for j in range(len(hist))]
-
-
 def _histogram_class(hist: list[int], E: LocalField) -> LocalFormClass:
     """Local invariants over E (a finite completion) of a form whose entries
     have the class histogram `hist` in the base field Q_p.
@@ -400,9 +396,10 @@ def form_class_at(entries: tuple[int, ...], E: LocalField) -> LocalFormClass:
 
 
 def _split_planes(s: int, d: Rat, n: int, m: int, E: LocalField) -> int:
-    """The Hasse invariant over E (a finite completion) of the m-dimensional
-    remainder of a form of dimension n, signed discriminant d and Hasse
-    invariant s, once its k = (n - m)/2 hyperbolic planes are split off.
+    """The Hasse invariant over any completion E (R and C included) of the
+    m-dimensional remainder of a form of dimension n, signed discriminant d
+    and Hasse invariant s, once its k = (n - m)/2 hyperbolic planes are
+    split off.
 
     Each plane split off, leaving j dimensions, multiplies s by (P_j, -1)_E
     with P_j = (-1)^(j(j-1)/2) d, and P_{j+2} = -P_j, so the k factors

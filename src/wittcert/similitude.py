@@ -28,7 +28,6 @@ from .extensions import (
     hyperbolicity_evidence,
     is_hyperbolic_over,
     make_tower,
-    norm_member,
     norm_member_tower,
     witt_index_over,
 )
@@ -36,7 +35,7 @@ from .forms import (
     InvariantViolation,
     QForm,
     _pfister_entries,
-    _support_among,
+    _scaled,
     in_G,
     orth_sum,
     pfister_slots,
@@ -78,12 +77,9 @@ class PfisterDecomposition:
     def reassemble(self) -> QForm:
         """The scaled Pfister forms, expanded by gcd products of the square
         classes; the support is read off `primes`, nothing is factored."""
-        return orth_sum(self._scaled_pfister(self.scale4, self.slots4),
-                        self._scaled_pfister(self.scale3, self.slots3))
-
-    def _scaled_pfister(self, c: int, slots) -> QForm:
-        entries = tuple(_class_product(c, e) for e in _pfister_entries(slots))
-        return QForm._derived(entries, _support_among(entries, self.primes))
+        four = QForm._derived(_pfister_entries(self.slots4), self.primes)
+        three = QForm._derived(_pfister_entries(self.slots3), self.primes)
+        return orth_sum(_scaled(self.scale4, (), four), _scaled(self.scale3, (), three))
 
 
 @dataclass(slots=True)
@@ -121,7 +117,8 @@ def _check_bound(bound: int) -> None:
 def candidate_classes(support_primes, bound: int):
     """Square-free candidates d != 1 ordered by |d| (then + before -): -1 and
     the products of one to four primes of the given support or the small
-    primes, up to the bound.
+    primes, up to the bound, each yielded as (d, the primes of d), so that
+    no caller factors a candidate again.
 
     The products are enumerated lazily in increasing order from a heap.  A
     product whose largest prime is pool[i] has two successors, both larger:
@@ -129,19 +126,19 @@ def candidate_classes(support_primes, bound: int):
     prime indices arises from exactly one predecessor, so each product is
     pushed once, and only when it is within the bound."""
     pool = sorted(set(support_primes) | set(_SMALL_PRIMES))
-    heap = [(1, -1, 0)]  # (product, index of its largest prime, prime count)
+    heap = [(1, -1, ())]  # (product, index of its largest prime, its primes)
     while heap:
-        v, i, k = heapq.heappop(heap)
+        v, i, primes = heapq.heappop(heap)
         if v != 1:
-            yield v
-        yield -v
+            yield v, primes
+        yield -v, primes
         j = i + 1
         if j == len(pool):
             continue
-        if k < _MAX_FACTORS and v * pool[j] <= bound:
-            heapq.heappush(heap, (v * pool[j], j, k + 1))
-        if k and v // pool[i] * pool[j] <= bound:
-            heapq.heappush(heap, (v // pool[i] * pool[j], j, k))
+        if len(primes) < _MAX_FACTORS and v * pool[j] <= bound:
+            heapq.heappush(heap, (v * pool[j], j, primes + (pool[j],)))
+        if primes and v // pool[i] * pool[j] <= bound:
+            heapq.heappush(heap, (v // pool[i] * pool[j], j, primes[:-1] + (pool[j],)))
 
 
 def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND) -> int | None:
@@ -158,9 +155,9 @@ def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND) -> int | N
         raise DomainError("form is hyperbolic: no index-raising extension is needed")
     if not in_G(phi, a):
         raise DomainError(f"{a} is not a similarity factor of the form")
-    support = phi.support.union(_squarefree_part(a)[1])
-    for d in candidate_classes(support, bound):
-        if not norm_member(a, d):
+    a_sf, a_primes = _squarefree_part(a)
+    for d, d_primes in candidate_classes(phi.support.union(a_primes), bound):
+        if not _norm_member(a_sf, a_primes, d, d_primes):
             continue
         if witt_index_over(phi, make_tower([d])) > base_index:
             return d
@@ -254,8 +251,8 @@ def _certify_in_I4(phi: QForm, c: Rat, c_sf: int, primes, bound: int) -> HypCert
     before it is returned."""
     if signature(phi) == 0:
         return _certificate(phi, TRIVIAL_TOWER, c, c_sf)
-    for d in candidate_classes(phi.support.union(primes), bound):
-        if d < 0 and _norm_member(c_sf, primes, d, _squarefree_part(d)[1]):
+    for d, d_primes in candidate_classes(phi.support.union(primes), bound):
+        if d < 0 and _norm_member(c_sf, primes, d, d_primes):
             return _certificate(phi, make_tower([d]), c, c_sf)
     return _certificate(phi, make_tower([-c_sf]), c, c_sf)
 

@@ -16,7 +16,17 @@ from math import isqrt
 
 from wittcert.arith import _class_product, _valuation_unit, legendre, prime_support, squarefree_rep
 from wittcert.extensions import TRIVIAL_TOWER, hyperbolicity_evidence, is_hyperbolic_over, make_tower
-from wittcert.forms import is_hyperbolic, is_isometric, pfister, qform, represents, scale, tensor
+from wittcert.forms import (
+    HYPERBOLIC_PLANE,
+    is_hyperbolic,
+    is_isometric,
+    orth_sum,
+    pfister,
+    qform,
+    represents,
+    scale,
+    tensor,
+)
 from wittcert.localfields import LocalFormClass, hilbert_symbol, local_square_class
 from wittcert.similitude import _MAX_FACTORS, _SMALL_PRIMES, HypCertificate, lemma_beta_search
 
@@ -354,6 +364,26 @@ def in_G_via_tensor(phi, c) -> bool:
 def in_G_via_isometry(phi, c) -> bool:
     """c in G(phi) iff c*phi is isometric to phi."""
     return is_isometric(scale(c, phi), phi)
+
+
+def witt_equivalent_by_padding(phi, psi) -> bool:
+    """Same Witt class: pad the smaller form with hyperbolic planes, then
+    compare the complete invariants (`is_isometric`)."""
+    if (phi.dim - psi.dim) % 2:
+        return False
+    while phi.dim < psi.dim:
+        phi = orth_sum(phi, HYPERBOLIC_PLANE)
+    while psi.dim < phi.dim:
+        psi = orth_sum(psi, HYPERBOLIC_PLANE)
+    return is_isometric(phi, psi)
+
+
+def real_kernel_hasse_by_negs(aniso: int, sig: int) -> int:
+    """The Hasse invariant at the real place of an anisotropic kernel of
+    dimension aniso and signature sig: a diagonal form over R with negs =
+    (aniso - sig)/2 negative entries has (-1)^(negs(negs-1)/2)."""
+    negs = (aniso - sig) // 2
+    return -1 if negs * (negs - 1) // 2 % 2 else 1
 
 
 def norm_member_via_represents(c, d) -> bool:

@@ -6,8 +6,8 @@ The invariants depend on each count only modulo 4 (the multiplicity law
 involves m mod 2 and m(m-1)/2 mod 2), so every count vector in {0..3}^k
 covers the kernel on a field with k base classes; it is compared there with
 the symbol-by-symbol computation in `oracles`.  Properties: the product
-formula, invariance under permuting the entries and under square factors,
-and translation of the histogram by the class of a scalar."""
+formula and invariance under permuting the entries and under square
+factors."""
 
 import random
 from itertools import product
@@ -23,8 +23,6 @@ from wittcert.localfields import (
     LocalField,
     Place,
     _class_histogram,
-    _class_index,
-    _translate,
     form_class_at,
 )
 
@@ -104,13 +102,3 @@ class TestProperties:
         entries = tuple(a for a, _ in pairs)
         scaled = tuple(a * r * r for a, r in pairs)
         assert form_class_at(scaled, E) == form_class_at(entries, E)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(nonzero, max_size=16), nonzero,
-           st.sampled_from([2, 3, 5, 7, 11, 10007]))
-    def test_scaling_translates_the_histogram(self, entries, c, p):
-        """The histogram of c*phi is phi's times the class of c in the group
-        ring Z[Q_p*/Q_p*^2]."""
-        scaled = _class_histogram([c * a for a in entries], p)
-        assert scaled == _translate(_class_histogram(entries, p), _class_index(c, p))
-        assert _class_index(c, p) == class_number(c, p)

@@ -1,17 +1,22 @@
 """The engine's closed forms against the routes and searches they replaced
 (kept in `oracles`): similarity factors by the Hasse-invariant scaling law,
 norm groups by Hasse's norm theorem, the lazily enumerated candidate stream,
-the one-stage certificate construction, and Witt cancellation of any number
-of hyperbolic planes at once."""
+the one-stage certificate construction, Witt cancellation of any number
+of hyperbolic planes at once, and the hyperbolic-plane law in place of the
+real-place sign count, the power of (-1, -1) and the padded Witt
+equivalence test."""
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 from oracles import (
     aniso_dim_by_descent,
@@ -20,22 +25,37 @@ from oracles import (
     in_G_via_tensor,
     lemma24_by_search,
     norm_member_via_represents,
+    real_kernel_hasse_by_negs,
     split_planes_by_descent,
+    witt_equivalent_by_padding,
 )
 from test_acceptance import _generate_lemma24_instances
 from wittcert import codecs, forms
 from wittcert.arith import _class_product, squarefree_rep
 from wittcert.extensions import norm_member
 from wittcert.localfields import (
+    REAL,
     LocalField,
     LocalFormClass,
     Place,
     _base_reps,
     _split_planes,
     form_class_at,
+    hilbert_symbol,
     local_aniso_dim,
 )
-from wittcert.forms import InvariantViolation, QForm, _pfister_entries, in_G, pfister, qform, signature, tensor
+from wittcert.forms import (
+    InvariantViolation,
+    QForm,
+    _pfister_entries,
+    in_G,
+    pfister,
+    qform,
+    signature,
+    tensor,
+    witt_decompose,
+    witt_equivalent,
+)
 from wittcert.similitude import HypCertificate, candidate_classes, lemma24_certificate, verify_certificate
 
 SQUAREFREE = [n for n in range(-150, 151) if n and squarefree_rep(n) == n]
@@ -85,6 +105,58 @@ class TestSplitPlanes:
                             checked += 1
         # 105 (completion, discriminant) pairs, 2 Hasse values, 240 (n, m).
         assert checked == 50400
+
+
+class TestOneHyperbolicPlaneLaw:
+    """`_split_planes` decides at every completion, the real place included,
+    what the engine once decided apart: the real Hasse invariant of the
+    Witt kernel by counting its negative entries, and the split Hasse data
+    of I^3 and I^4 as a power of (-1, -1)."""
+
+    def test_real_place_of_the_kernel_on_every_sign_pattern(self):
+        # 153 sign patterns (pos, neg) with pos + neg <= 16; for each, the
+        # entries +-1 and three draws of square-free magnitudes, so that the
+        # kernel is often larger than |signature|.
+        rng = random.Random(618)
+        magnitudes = [a for a in SQUAREFREE if 0 < a <= 40]
+        patterns = [(pos, n - pos) for n in range(17) for pos in range(n + 1)]
+        assert len(patterns) == 153
+        seen = Counter()
+        for pos, neg in patterns:
+            for draw in range(4):
+                mags = [1 if draw == 0 else rng.choice(magnitudes) for _ in range(pos + neg)]
+                phi = qform([m if i < pos else -m for i, m in enumerate(mags)])
+                _, aniso, cls = witt_decompose(phi)
+                expected = real_kernel_hasse_by_negs(aniso, pos - neg)
+                assert (REAL in cls.hasse_minus_places) == (expected == -1), (phi, aniso)
+                seen[aniso > abs(pos - neg), expected] += 1
+        assert len(seen) == 4, seen
+
+    def test_planes_alone_against_the_power_of_minus_one_minus_one(self):
+        fields = [LocalField(REAL), LocalField(REAL, (-1,))]
+        fields += TestSplitPlanes.finite_completions()
+        for E in fields:
+            for h in (1, -1):
+                for k in range(1, 9):
+                    power = hilbert_symbol(-1, -1, E) ** (k * (k - 1) // 2)
+                    assert (_split_planes(h, 1, 2 * k, 0, E) == 1) == (h == power), (str(E), h, k)
+
+
+square_free = st.integers(-40, 40).filter(bool).map(squarefree_rep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(square_free, max_size=6), st.lists(square_free, max_size=6),
+       st.lists(square_free, max_size=3), st.booleans())
+@example([1, 1], [2, 2], [], False)
+@example([3], [5, 1, -1], [], False)
+def test_witt_equivalent_against_padded_isometry(phi, other, planes, related):
+    """phi against a form that is either unrelated or phi (reversed) plus
+    the hyperbolic form rho + (-rho)."""
+    psi = list(reversed(phi)) if related else other
+    psi = QForm(tuple(psi + planes + [-a for a in planes]))
+    phi = QForm(tuple(phi))
+    assert witt_equivalent(phi, psi) == witt_equivalent_by_padding(phi, psi), (phi, psi)
 
 
 class TestPfisterTensorHyperbolicAtEveryPrime:
@@ -153,21 +225,21 @@ class TestSimilarityFactors:
         assert verdicts.count(True) > 30 and verdicts.count(False) > 30
 
     def test_disagreement_with_the_isometry_test_raises(self, monkeypatch):
-        """A fault in the translated histograms of the agreement check makes
-        it disagree with the closed form, and in_G raises."""
-        translate = forms._translate
+        """A fault in the scaled form that the agreement check compares with
+        phi makes it disagree with the closed form, and in_G raises."""
+        scaled = forms._scaled
         faults = [
-            # Translating by the class of c times a non-square unit: c*phi
-            # reads as anisometric to phi where the closed form says
-            # isometric.
-            (lambda hist, i: translate(hist, i ^ 1), [([1, 1], 2), ([3, 5, 7], 1), ([1, 1, 1], 1)]),
+            # Scaling by -c: c*phi reads as anisometric to phi (its signature
+            # flips) where the closed form says isometric.
+            (lambda c, primes, phi: scaled(-c, primes, phi),
+             [([1, 1], 2), ([3, 5, 7], 1), ([1, 1, 1], 1)]),
             # Ignoring c: c*phi reads as isometric to phi where the closed
             # form says anisometric.
-            (lambda hist, i: list(hist), [([1, 1], 3), ([1, 1, 1, 1, 1, 2], 5)]),
+            (lambda c, primes, phi: phi, [([1, 1], 3), ([1, 1, 1, 1, 1, 2], 5), ([1, 1], -1)]),
         ]
         for fault, cases in faults:
             with monkeypatch.context() as m:
-                m.setattr(forms, "_translate", fault)
+                m.setattr(forms, "_scaled", fault)
                 for entries, c in cases:
                     with pytest.raises(InvariantViolation):
                         in_G(qform(entries), c)
@@ -198,8 +270,10 @@ class TestCandidateStream:
         supports += [set(rng.sample(PRIMES, rng.randint(1, 6))) | {rng.choice(PRIMES[15:])}
                      for _ in range(10)]
         for support in supports:
-            assert list(candidate_classes(support, bound)) == list(
+            stream = list(candidate_classes(support, bound))
+            assert [d for d, _ in stream] == list(
                 eager_candidate_classes(support, bound)), (support, bound)
+            assert all(prod(primes) == abs(d) for d, primes in stream), (support, bound)
 
 
 class TestCertificateSearch:

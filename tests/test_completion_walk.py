@@ -1,10 +1,9 @@
 """The walk over completions and what the decisions built on it rely on:
 the fiber rule on every Kummer group, everything a completion derives from
-its generators, one local class per (form, completion)
-in each decision and one class histogram per place in the similarity-factor
-check, each verdict of the degree-12 pipeline decided once, no Witt
-decomposition in the lemma24 search, and the verdicts the walk lets a
-caller read off one decomposition."""
+its generators, one local class per (form, completion) in each decision,
+each verdict of the degree-12 pipeline decided once, no Witt decomposition
+in the lemma24 search, and the verdicts the walk lets a caller read off one
+decomposition."""
 
 import contextlib
 import io
@@ -256,23 +255,6 @@ class TestOneClassPerCompletion:
             assert main(["invariants", json.dumps({"diag": phi.entries}), "--trace"]) == 0
         assert len(json.loads(out.getvalue())["hasse"]) == len(classes)
         self.at_most_once(classes)
-
-    @pytest.mark.parametrize("phi", FORMS, ids=str)
-    def test_in_G_builds_one_histogram_per_place(self, classes, monkeypatch, phi):
-        histograms, isometries = [], []
-        spy(monkeypatch, localfields._class_histogram, histograms)
-        spy(monkeypatch, forms.is_isometric, isometries)
-        for c in (1, -1, 2, 3, -5, 7 * 11, 1000003):
-            histograms.clear()
-            in_G(phi, c)
-            finite = [v.p for v, _, _ in completions(phi.support | prime_support([c]))
-                      if not v.is_real]
-            primes = [p for _, p in histograms]
-            # The walk's order; it stops at the first disagreement.
-            assert primes == finite[:len(primes)], c
-            if c == 1:
-                assert primes == finite
-        assert classes == [] and isometries == []
 
     def test_thm6_and_lemma24_read_their_verdicts_off_the_signature(self, monkeypatch):
         # pi (x) psi is hyperbolic at every prime, so neither search walks

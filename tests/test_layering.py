@@ -1,0 +1,55 @@
+"""Layering: how a local class is encoded (class numbers, histograms and
+the Hilbert-symbol tables) is known only to `localfields`.  Every other
+module of the package reads local data through `form_class_at`,
+`local_aniso_dim`, `_split_planes` and the symbols; this test reads each
+module's syntax tree and fails on any import or mention of the encoding's
+private names.  `forms` also reads the real place from the walk like any
+other completion, so it names neither the real place nor a symbol."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import wittcert
+
+ENCODING = {"_class_index", "_class_histogram", "_histogram_class", "_symbol_table",
+            "_TAME_TABLES", "_SERRE_TABLE"}
+PACKAGE = Path(wittcert.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "localfields")
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Every name the module imports, reads or reads as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_module_is_checked():
+    assert {p.stem for p in MODULES} >= {"forms", "extensions", "similitude", "cli", "codecs"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_class_encoding_stays_in_localfields(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not names_used(tree) & ENCODING, path.name
+
+
+def test_localfields_defines_the_encoding():
+    tree = ast.parse((PACKAGE / "localfields.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert ENCODING <= defined
+
+
+def test_forms_sets_no_place_apart():
+    names = names_used(ast.parse((PACKAGE / "forms.py").read_text()))
+    assert not names & {"REAL", "is_real", "hilbert_symbol"}

@@ -1,11 +1,13 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wittcert.arith import DomainError, squarefree_rep
+from wittcert import arith
+from wittcert.arith import DomainError, is_prime, squarefree_rep
 from wittcert.extensions import TRIVIAL_TOWER, make_tower, norm_member, witt_index_over
 from wittcert.forms import (
     in_G,
@@ -73,12 +75,14 @@ class TestCandidateStream:
     def test_ordering(self):
         stream = candidate_classes({2, 3}, 100)
         first = [next(stream) for _ in range(8)]
-        assert first == [-1, 2, -2, 3, -3, 5, -5, 6]
+        assert first == [(-1, ()), (2, (2,)), (-2, (2,)), (3, (3,)), (-3, (3,)),
+                         (5, (5,)), (-5, (5,)), (6, (2, 3))]
 
     def test_squarefree_and_bounded(self):
-        for d in candidate_classes({2, 3, 5}, 300):
+        for d, primes in candidate_classes({2, 3, 5}, 300):
             assert abs(d) <= 300
             assert squarefree_rep(d) == d
+            assert prod(primes) == abs(d) and all(is_prime(p) for p in primes)
 
 
 class TestLemmaBetaSearch:
@@ -117,6 +121,44 @@ class TestLemmaBetaSearch:
     def test_bound_exhaustion_returns_none(self):
         # bound 1 leaves only the candidate -1, and 3 is not a sum of two squares.
         assert lemma_beta_search(qform([1, 1, 1, 1]), 3, bound=1) is None
+
+
+class TestNoFactoringPerCandidate:
+    """The searches factor their multiplier once and take each candidate's
+    primes from the stream, so scanning more candidates makes no more
+    factorizations.  For a = 3135 = 3 * 5 * 11 * 19 the first candidate in
+    the norm group is -110, after 106 others: at bound 10 no candidate
+    qualifies, at 10^6 the search scans all 107."""
+
+    A = 3135
+    HIT = -110
+
+    @staticmethod
+    def factorizations(monkeypatch, fn, *args) -> int:
+        calls = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+        fn(*args)
+        monkeypatch.setattr(arith, "factorize", factorize)
+        return len(calls)
+
+    def test_lemma_beta_search(self, monkeypatch):
+        phi = qform([1, 1, 1, 1])
+        assert lemma_beta_search(phi, self.A, 10) is None
+        assert lemma_beta_search(phi, self.A, 10**6) == self.HIT
+        scan = self.factorizations(monkeypatch, lemma_beta_search, phi, self.A, 10)
+        hit = self.factorizations(monkeypatch, lemma_beta_search, phi, self.A, 10**6)
+        # Only the index test of the one norm-group member factors.
+        index_test = self.factorizations(
+            monkeypatch, lambda: witt_index_over(phi, make_tower([self.HIT])))
+        assert hit == scan + index_test
+
+    def test_lemma24_certificate(self, monkeypatch):
+        pi, psi = pfister([-1, -1]), qform([1, 1, 1, 1, 1, -1])
+        assert lemma24_certificate(pi, psi, self.A, 10).tower == make_tower([-self.A])
+        assert lemma24_certificate(pi, psi, self.A, 10**6).tower == make_tower([self.HIT])
+        assert (self.factorizations(monkeypatch, lemma24_certificate, pi, psi, self.A, 10)
+                == self.factorizations(monkeypatch, lemma24_certificate, pi, psi, self.A, 10**6))
 
 
 class TestCertificates:

@@ -7,7 +7,8 @@ Exit status: 0 on success (including the explicit not-found result of
 `lemma-beta`), 2 when a hypothesis check or precondition fails (the failing
 check is named), 1 on malformed input, 3 on input beyond a fixed size limit
 (`limit-exceeded`: a form descriptor expanding above
-`codecs.MAX_EXPANDED_DIM` dimensions), 141 when the reader closes standard
+`codecs.MAX_EXPANDED_DIM` dimensions, or a payload nesting deeper than
+`codecs.MAX_NESTING_DEPTH`), 141 when the reader closes standard
 output before the answer is written (the status of a process that a shell
 pipe ends by SIGPIPE; nothing is printed).  Output is deterministic: fixed key
 order, exact integers and rational strings, never floats; it depends on the
@@ -230,6 +231,17 @@ def main(argv=None) -> int:
     return status
 
 
+def _decode(text: str):
+    """The JSON payload, or the text itself for the bare text syntaxes; a
+    payload nesting deeper than `codecs.MAX_NESTING_DEPTH` is refused before
+    it is decoded."""
+    codecs.check_nesting(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 def _answer(argv) -> int:
     """Run one invocation and print its JSON; the exit status."""
     parser = build_parser()
@@ -238,16 +250,7 @@ def _answer(argv) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        payload = json.loads(opts.payload)
-    except json.JSONDecodeError:
-        # Accept the bare text syntaxes as a convenience.
-        payload = opts.payload
-    except RecursionError:
-        print(json.dumps({"error": "malformed-input",
-                          "detail": "payload nests too deeply to decode"}, indent=2))
-        return 1
-    try:
-        result = _run_verb(opts.verb, payload, opts)
+        result = _run_verb(opts.verb, _decode(opts.payload), opts)
     except HypothesisFailure as exc:
         print(str(exc))
         return 2

@@ -9,6 +9,7 @@ identical inputs produce byte-identical JSON.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import prod
 
@@ -29,6 +30,24 @@ REPORT_SCHEMA = "pipeline-report/1"
 # the 24 dimensions of the certificate pipeline's forms, and small enough
 # that every verb answers within a second.
 MAX_EXPANDED_DIM = 1024
+# Deepest nesting of JSON arrays and objects in a CLI payload: far above the
+# depth of any descriptor the verbs need, and far below the depth at which
+# `json.loads` or the recursion of `parse_form` would exhaust the stack.
+MAX_NESTING_DEPTH = 256
+
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+_BRACKET = re.compile(r"[\[\]{}]")
+
+
+def check_nesting(text: str) -> None:
+    """Refuse a payload whose arrays and objects nest deeper than
+    `MAX_NESTING_DEPTH` (`LimitExceeded`), before it is decoded.  Brackets
+    inside JSON strings do not count."""
+    depth = 0
+    for bracket in _BRACKET.findall(_STRING.sub("", text)):
+        depth += 1 if bracket in "[{" else -1
+        if depth > MAX_NESTING_DEPTH:
+            raise LimitExceeded(f"payload nests deeper than the limit {MAX_NESTING_DEPTH}")
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ generated by the tower generators"; given that, every place outside the prime
 support of (entries + generators, 2, real) is automatically split.  The
 completions at those places, each a `LocalField` of the generators, come from
 `localfields.completions`; `hyperbolicity_evidence` holds one local verdict
-per completion, and `aniso_dim_over` is their maximum with the Kummer bound.
+per completion, and `aniso_dim_over` is their maximum with the Kummer bound
+(`_aniso_dim_from`, which the certificate checks read too).
 
 Norm membership in a quadratic extension is Hasse's norm theorem: a Hilbert
 symbol at 2, at the primes of the two classes and at the real place.  For
@@ -91,18 +92,21 @@ TRIVIAL_TOWER = ExtensionTower(())
 
 
 def aniso_dim_over(phi: QForm, M: ExtensionTower) -> int:
-    """Dimension of the anisotropic kernel of phi over M.
+    """Dimension of the anisotropic kernel of phi over M: `_aniso_dim_from`
+    its `hyperbolicity_evidence`."""
+    return _aniso_dim_from(phi, M, hyperbolicity_evidence(phi, M))
 
-    The maximum of the local anisotropic dimensions in
-    `hyperbolicity_evidence` and the global Kummer discriminant bound: an
-    even-dimensional form whose discriminant is not a square in M has
-    anisotropic dimension at least 2, and such a failure can hide at places
-    outside the prime support.
-    """
+
+def _aniso_dim_from(phi: QForm, M: ExtensionTower, evidence) -> int:
+    """The anisotropic dimension of phi over M read off its evidence over M:
+    the maximum of the local anisotropic dimensions and the global Kummer
+    discriminant bound.  An even-dimensional form whose discriminant is not
+    a square in M has anisotropic dimension at least 2, and such a failure
+    can hide at places outside the prime support."""
     lower = phi.dim % 2
     if lower == 0 and not disc_in_tower(forms.disc(phi), M):
         lower = 2
-    return max(lower, *(ev.aniso_dim for ev in hyperbolicity_evidence(phi, M)))
+    return max(lower, *(ev.aniso_dim for ev in evidence))
 
 
 def disc_in_tower(d: Rat, M: ExtensionTower) -> bool:
@@ -136,11 +140,13 @@ class PlaceEvidence:
     aniso_dim: int
 
 
-def hyperbolicity_evidence(phi: QForm, M: ExtensionTower) -> list[PlaceEvidence]:
+def hyperbolicity_evidence(phi: QForm, M: ExtensionTower, gen_primes=None) -> list[PlaceEvidence]:
     """The anisotropic dimension of phi over each completion of M that the
-    walk yields, from one local class per completion."""
+    walk yields, from one local class per completion.  `gen_primes`, the
+    primes of each of M's generators when the caller holds them, spares
+    their factorization."""
     return [PlaceEvidence(v, E, mult, local_aniso_dim(form_class_at(phi.entries, E), E))
-            for v, E, mult in completions(phi.support, M.generators)]
+            for v, E, mult in completions(phi.support, M.generators, gen_primes)]
 
 
 # ----------------------------------------------------------------------

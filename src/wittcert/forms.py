@@ -296,7 +296,12 @@ def in_G(phi: QForm, c: Rat) -> bool:
     of c*phi = phi; disagreement means an engine bug."""
     if Fraction(c) == 0:
         raise DomainError("similarity factor must be nonzero")
-    c, primes = _squarefree_part(c)
+    return _in_G(phi, *_squarefree_part(c))
+
+
+def _in_G(phi: QForm, c: int, primes) -> bool:
+    """`in_G` for a square-free c given with its primes, so c is not
+    factored again."""
     if phi.dim % 2:
         closed = c == 1
     else:

@@ -241,7 +241,7 @@ def local_square_class(a: Rat, E: LocalField) -> int:
 # Completions of a tower, and the walk over the ones a decision reads.
 
 
-def completions(primes, gens=()) -> Iterator[tuple[Place, LocalField, int]]:
+def completions(primes, gens=(), gen_primes=None) -> Iterator[tuple[Place, LocalField, int]]:
     """(place, completion, multiplicity) of the tower Q(sqrt g : g in gens)
     (independent square-free generators) above the real place, 2, the primes
     of `primes` and the primes of the generators, in that order (primes
@@ -249,9 +249,12 @@ def completions(primes, gens=()) -> Iterator[tuple[Place, LocalField, int]]:
     supported on `primes` can have a nontrivial local invariant.  The
     multiplicity is the number of places of the tower above the place, all
     conjugate, so it is the tower's degree over the completion's.  Every
-    local-global decision reads its local classes from this walk."""
+    local-global decision reads its local classes from this walk.  A caller
+    that holds the primes of each generator passes them as `gen_primes`, and
+    the generators are not factored."""
     degree = 1 << len(gens)
-    for v in chain((REAL,), map(Place, sorted(prime_support(gens).union(primes)))):
+    support = prime_support(gens) if gen_primes is None else {2}.union(*gen_primes)
+    for v in chain((REAL,), map(Place, sorted(support.union(primes)))):
         E = LocalField(v, gens)
         yield v, E, degree // E.degree
 

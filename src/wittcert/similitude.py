@@ -11,6 +11,9 @@ certificate constructor is total: its search bound caps only the cost of the
 search, because Q(sqrt -c) closes it when no candidate within the bound
 qualifies.  The verifier re-derives both certificate conclusions from
 scratch; the engine memoises nothing, so no verdict of the search is reused.
+The search checks each certificate it issues against the same conditions
+(`_certificate_holds`), on the evidence it has just built and the primes it
+already holds.
 """
 
 from __future__ import annotations
@@ -18,25 +21,24 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .arith import DomainError, Rat, _class_product, _is_rational_square, _squarefree_part, squarefree_rep
 from .extensions import (
     ExtensionTower,
     PlaceEvidence,
     TRIVIAL_TOWER,
+    _aniso_dim_from,
     _norm_member,
     hyperbolicity_evidence,
-    is_hyperbolic_over,
-    make_tower,
-    norm_member_tower,
     witt_index_over,
 )
 from .forms import (
     InvariantViolation,
     QForm,
+    _in_G,
     _pfister_entries,
     _scaled,
-    in_G,
     orth_sum,
     pfister_slots,
     signature,
@@ -150,16 +152,20 @@ def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND) -> int | N
     engineering cap).
     """
     _check_bound(bound)
-    base_index, aniso, _ = witt_decompose(phi)
+    _, aniso, _ = witt_decompose(phi)
     if aniso == 0:
         raise DomainError("form is hyperbolic: no index-raising extension is needed")
-    if not in_G(phi, a):
-        raise DomainError(f"{a} is not a similarity factor of the form")
+    if Fraction(a) == 0:
+        raise DomainError("similarity factor must be nonzero")
     a_sf, a_primes = _squarefree_part(a)
+    if not _in_G(phi, a_sf, a_primes):
+        raise DomainError(f"{a} is not a similarity factor of the form")
     for d, d_primes in candidate_classes(phi.support.union(a_primes), bound):
         if not _norm_member(a_sf, a_primes, d, d_primes):
             continue
-        if witt_index_over(phi, make_tower([d])) > base_index:
+        # The index rises iff the anisotropic dimension falls.
+        tower = ExtensionTower((d,))
+        if _aniso_dim_from(phi, tower, hyperbolicity_evidence(phi, tower, (d_primes,))) < aniso:
             return d
     return None
 
@@ -168,18 +174,20 @@ def lemma_beta_search(phi: QForm, a: Rat, bound: int = DEFAULT_BOUND) -> int | N
 # Certificates.
 
 
-def _certificate(phi: QForm, tower: ExtensionTower, c_original: Rat, c_sf: int) -> HypCertificate:
-    """The certificate for phi over the tower, c_sf the square class of the
-    multiplier c_original; verified before it is returned."""
-    adjustment = Fraction(c_sf) / Fraction(c_original)
-    assert adjustment > 0 and _is_rational_square(adjustment)
+def _certificate(phi: QForm, tower: ExtensionTower, gen_primes, c_original: Rat, c_sf: int,
+                 c_primes) -> HypCertificate:
+    """The certificate for phi over the tower, whose generators have the
+    primes `gen_primes` (one tuple per generator), c_sf the square class of
+    the multiplier c_original with the primes `c_primes`.  Its evidence is
+    built once, and the certificate is checked against every verifier
+    condition on that evidence before it is returned; nothing is factored."""
     cert = HypCertificate(
         multiplier=c_sf,
         tower=tower,
-        square_adjustment=adjustment,
-        evidence=tuple(hyperbolicity_evidence(phi, tower)),
+        square_adjustment=Fraction(c_sf) / Fraction(c_original),
+        evidence=tuple(hyperbolicity_evidence(phi, tower, gen_primes)),
     )
-    if not verify_certificate(phi, cert):
+    if not _certificate_holds(phi, cert, cert.evidence, gen_primes, c_primes):
         raise InvariantViolation(f"search produced a certificate that fails verification: {cert}")
     return cert
 
@@ -222,7 +230,8 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
     (`lemma_beta_search`).  When no candidate within the bound qualifies,
     d = -c closes the search: c = N(sqrt -c).  The bound caps the cost of
     the search, never whether a certificate exists.  Every certificate is
-    still verified from scratch before it is returned.
+    still checked against every verifier condition on its own evidence
+    before it is returned.
     """
     _check_bound(bound)
     if pfister_slots(pi) is None or pi.dim != 4:
@@ -247,35 +256,63 @@ def _certify_in_I4(phi: QForm, c: Rat, c_sf: int, primes, bound: int) -> HypCert
     given primes; both verdicts are already read off the signature by the
     caller, and c is not factored again.  The tower is trivial when phi has
     signature 0, else Q(sqrt d) for the first negative candidate d within
-    the bound with c a norm, else Q(sqrt -c).  The certificate is verified
-    before it is returned."""
+    the bound with c a norm, else Q(sqrt -c); a square-free d != 1 is its
+    own canonical tower, and its primes come with it, so no candidate is
+    factored.  The certificate is checked against every verifier condition
+    on its own evidence before it is returned."""
     if signature(phi) == 0:
-        return _certificate(phi, TRIVIAL_TOWER, c, c_sf)
+        return _certificate(phi, TRIVIAL_TOWER, (), c, c_sf, primes)
     for d, d_primes in candidate_classes(phi.support.union(primes), bound):
         if d < 0 and _norm_member(c_sf, primes, d, d_primes):
-            return _certificate(phi, make_tower([d]), c, c_sf)
-    return _certificate(phi, make_tower([-c_sf]), c, c_sf)
+            return _certificate(phi, ExtensionTower((d,)), (d_primes,), c, c_sf, primes)
+    return _certificate(phi, ExtensionTower((-c_sf,)), (primes,), c, c_sf, primes)
 
 
 def verify_certificate(phi: QForm, cert: HypCertificate) -> bool:
     """Independent re-derivation of both certificate conclusions (the engine
-    keeps no cache, so nothing is shared with any search)."""
+    keeps no cache, so nothing is shared with any search): each generator
+    and the multiplier are factored once, the evidence over the tower is
+    walked afresh, and `_certificate_holds` is decided on them."""
     tower = cert.tower
-    if len(tower.generators) > 2:
+    if len(tower.generators) > 2 or cert.multiplier == 0:
+        return False  # no walk over such a tower; 0 has no square class
+    gen_primes = [_squarefree_part(d)[1] for d in tower.generators]
+    return _certificate_holds(phi, cert, hyperbolicity_evidence(phi, tower, gen_primes),
+                              gen_primes, _squarefree_part(cert.multiplier)[1])
+
+
+def _certificate_holds(phi: QForm, cert: HypCertificate, evidence, gen_primes,
+                       c_primes) -> bool:
+    """Every condition of a valid certificate for phi, given phi's evidence
+    over its tower, the primes of each generator (`gen_primes`, in order)
+    and the primes of the multiplier (`c_primes`): at most two generators,
+    each a square-free class != 1 (the signed product of its primes) and
+    the two distinct; a square-free multiplier; a square adjustment; phi
+    hyperbolic over the tower (the Kummer bound and every local anisotropic
+    dimension 0, `_aniso_dim_from`); and the multiplier a norm from each
+    quadratic subextension (Hasse's norm theorem and the intersection law
+    N*_L cap N*_L' = Q*^2 * N*_M).  Nothing is factored or walked here."""
+    gens = list(zip(cert.tower.generators, gen_primes, strict=True))
+    if len(gens) > 2:
         return False
-    for d in tower.generators:
-        if d == 1 or squarefree_rep(d) != d:
-            return False
-    if len(tower.generators) == 2 and squarefree_rep(
-            tower.generators[0] * tower.generators[1]) == 1:
+    if any(d == 1 or not _is_class_of(d, primes) for d, primes in gens):
         return False
-    if cert.multiplier == 0 or squarefree_rep(cert.multiplier) != cert.multiplier:
+    if len(gens) == 2 and gens[0][0] == gens[1][0]:
+        return False
+    c = cert.multiplier
+    if not _is_class_of(c, c_primes):
         return False
     if not _is_rational_square(cert.square_adjustment):
         return False
-    if not is_hyperbolic_over(phi, tower):
+    if _aniso_dim_from(phi, cert.tower, evidence) != 0:
         return False
-    return norm_member_tower(cert.multiplier, tower)
+    return all(_norm_member(int(c), c_primes, int(d), primes) for d, primes in gens)
+
+
+def _is_class_of(r: Rat, primes) -> bool:
+    """Whether r is the square-free integer with the given distinct primes
+    and r's sign."""
+    return r != 0 and r == (1 if r > 0 else -1) * prod(primes) and len(set(primes)) == len(primes)
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +376,8 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
     `lemma24_certificate` up to the order of its entries, hyperbolic at
     every prime, so psi in I^4 and each c in G(psi) are read off its
     signature (`_tensor_hypotheses`), and each multiplier is factored once
-    for its status and its certificate.  When no multipliers are supplied,
+    for its status and its certificate, which is checked against every
+    verifier condition on its own evidence.  When no multipliers are supplied,
     ten square classes represented by the norm form are sampled.  The bound
     must be at least 1; it caps only the cost of each certificate search,
     since every similarity factor certifies.

@@ -15,7 +15,13 @@ from itertools import combinations, count
 from math import isqrt
 
 from wittcert.arith import _class_product, _valuation_unit, legendre, prime_support, squarefree_rep
-from wittcert.extensions import TRIVIAL_TOWER, hyperbolicity_evidence, is_hyperbolic_over, make_tower
+from wittcert.extensions import (
+    TRIVIAL_TOWER,
+    hyperbolicity_evidence,
+    is_hyperbolic_over,
+    make_tower,
+    norm_member_tower,
+)
 from wittcert.forms import (
     HYPERBOLIC_PLANE,
     is_hyperbolic,
@@ -407,6 +413,28 @@ def eager_candidate_classes(support_primes, bound):
         if v != 1:
             yield v
         yield -v
+
+
+def verify_certificate_by_parts(phi, cert) -> bool:
+    """The certificate verifier through the public tests, one condition at a
+    time: the tower's generators and the multiplier square-free by
+    `squarefree_rep`, the two generators independent, the adjustment a
+    rational square, phi hyperbolic by `is_hyperbolic_over` and the
+    multiplier a norm by `norm_member_tower`."""
+    gens = cert.tower.generators
+    if len(gens) > 2:
+        return False
+    if any(d == 1 or squarefree_rep(d) != d for d in gens):
+        return False
+    if len(gens) == 2 and squarefree_rep(gens[0] * gens[1]) == 1:
+        return False
+    if cert.multiplier == 0 or squarefree_rep(cert.multiplier) != cert.multiplier:
+        return False
+    adjustment = Fraction(cert.square_adjustment)
+    if adjustment < 0 or not (perfect_square(adjustment.numerator)
+                              and perfect_square(adjustment.denominator)):
+        return False
+    return is_hyperbolic_over(phi, cert.tower) and norm_member_tower(cert.multiplier, cert.tower)
 
 
 def lemma24_by_search(pi, psi, c, bound):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wittcert import cli, extensions, involutions, similitude
+from wittcert import cli, codecs, extensions, involutions, similitude
 from wittcert.cli import EXIT_CLOSED_PIPE, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -142,25 +142,41 @@ class TestPipelineVerbs:
         assert all(e["local_verdict"] == {"aniso_dim": 0, "hyperbolic": True}
                    for e in out["trace"])
 
-    def test_trace_is_the_certificate_evidence(self, capsys, monkeypatch):
-        # The trace prints the evidence the certificate already carries: one
-        # walk builds it and one re-derives it in the verifier.
+    @staticmethod
+    def count_walks(monkeypatch) -> list:
+        """The towers of every `hyperbolicity_evidence` walk from now on."""
         calls = []
         evidence = extensions.hyperbolicity_evidence
 
-        def counted(phi, M):
+        def counted(phi, M, *args):
             calls.append(M)
-            return evidence(phi, M)
+            return evidence(phi, M, *args)
 
         for module in (cli, extensions, similitude):
             monkeypatch.setattr(module, "hyperbolicity_evidence", counted)
+        return calls
+
+    def test_trace_is_the_certificate_evidence(self, capsys, monkeypatch):
+        # The trace prints the evidence the certificate already carries: one
+        # walk builds it, and the search's check reads the same evidence.
+        calls = self.count_walks(monkeypatch)
         # An imaginary quadratic tower, then the trivial one.
         for psi, c in (([1, 1, 1, 1, 1, -3], 2), ([1, 1, 1, -1, -1, -1], -1)):
             payload = json.dumps({"pi": {"pfister": [-1, -1]}, "psi": {"diag": psi}, "c": c})
             calls.clear()
             code, out = run_json(capsys, "lemma24", payload, "--trace")
             assert code == 0 and out["trace"] == out["certificate"]["evidence"]
-            assert len(calls) == 2 and len(out["certificate"]["tower"]["generators"]) == (c > 0)
+            assert len(calls) == 1 and len(out["certificate"]["tower"]["generators"]) == (c > 0)
+
+    def test_thm6_walks_once_per_certificate(self, capsys, monkeypatch):
+        calls = self.count_walks(monkeypatch)
+        payload = json.dumps({"phi": {"diag": [1, 1, 1, 1, 1, -3]}, "q": [-1, -1],
+                              "multipliers": [2, -2, 3, 7, "5/4"]})
+        code, out = run_json(capsys, "thm6", payload)
+        certified = [m for m in out["multipliers"] if m["status"] == "certificate"]
+        assert code == 0 and len(certified) == 4
+        assert [M.generators for M in calls] == [
+            tuple(m["certificate"]["tower"]["generators"]) for m in certified]
 
 
 class TestCliContract:
@@ -312,6 +328,21 @@ class TestRationalArguments:
         # come from the one factorization by parts.
         assert run_json(capsys, verb, payload) == (0, expected)
 
+    @pytest.mark.parametrize("verb, payload", [
+        ("lemma24", '{"pi":{"pfister":[-1,-1]},"psi":{"diag":[1,1,1,1,1,-3]},'
+                    '"c":"2000000000003/2000000000009"}'),
+        ("thm6", '{"phi":{"diag":[1,1,1,1,1,-3]},"q":[-1,-1],'
+                 '"multipliers":["2000000000003/2000000000009"]}'),
+    ])
+    def test_certificate_for_a_multiplier_class_beyond_the_factorization_limit(
+            self, capsys, verb, payload):
+        # c is factored by parts, and neither the search nor its check of
+        # the certificate factors the class 4000000000024000000000027.
+        code, out = run_json(capsys, verb, payload)
+        cert = out["certificate"] if verb == "lemma24" else out["multipliers"][0]["certificate"]
+        assert code == 0 and cert["multiplier"] == 4000000000024000000000027
+        assert cert["tower"]["generators"] == [-2]
+
     @pytest.mark.parametrize("n", ["2.7", "true", '"4"'])
     def test_in_in_n_must_be_an_integer(self, capsys, n):
         code, out = run_json(capsys, "in-in", '{"form":{"pfister":[2,3,5,7]},"n":%s}' % n)
@@ -325,11 +356,31 @@ def run_process(*argv):
                           env=env, timeout=60)
 
 
-def nested_tensor(depth: int) -> str:
-    payload = '{"diag":[1,-1]}'
+def nested_tensor(depth: int, leaf: str = '{"diag":[1,-1]}') -> str:
+    """The leaf inside `depth` one-factor tensors: 2 * depth + 2 levels of
+    JSON nesting for a descriptor leaf."""
+    payload = leaf
     for _ in range(depth):
         payload = '{"tensor":[' + payload + ']}'
     return payload
+
+
+def json_depth(text: str) -> int:
+    """The deepest nesting of arrays and objects (no payload here holds a
+    bracket inside a string)."""
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch in "[{") - (ch in "]}")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+LIMIT = codecs.MAX_NESTING_DEPTH
+PSI = '{"diag":[1,1,1,1,1,-3]}'
+
+
+def lemma24_payload(psi: str) -> str:
+    return '{"pi":{"pfister":[-1,-1]},"psi":%s,"c":2}' % psi
 
 
 class TestProcess:
@@ -338,12 +389,40 @@ class TestProcess:
         assert proc.returncode == 0 and json.loads(proc.stdout) == {"isotropic": True}
 
     @pytest.mark.parametrize("depth", [495, 1200])
-    def test_deep_nesting_is_malformed_input(self, depth):
+    def test_deep_nesting_is_limit_exceeded(self, depth):
         proc = run_process("-m", "wittcert.cli", "isotropic", nested_tensor(depth))
-        assert proc.returncode == 1
-        assert json.loads(proc.stdout) == {"error": "malformed-input",
-                                           "detail": "payload nests too deeply to decode"}
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout) == {
+            "error": "limit-exceeded",
+            "detail": f"payload nests deeper than the limit {LIMIT}"}
         assert "Traceback" not in proc.stderr
+
+    # A form descriptor nests to an even depth, so an isotropic payload is
+    # of even depth and a lemma24 payload, which holds its forms in an
+    # object, of odd depth.  The payloads of the other parity wrap a form in
+    # a list: at the limit that is malformed input, beyond it the depth is
+    # refused before the payload is decoded.
+    @pytest.mark.parametrize("verb, payload, depth, status", [
+        pytest.param(verb, payload, depth, status, id=f"{verb}-limit{depth - LIMIT:+d}")
+        for verb, payload, depth, status in [
+            ("isotropic", nested_tensor(LIMIT // 2 - 1), LIMIT, 0),
+            ("isotropic", "[%s]" % nested_tensor(LIMIT // 2 - 1), LIMIT + 1, 3),
+            ("isotropic", nested_tensor(LIMIT // 2), LIMIT + 2, 3),
+            ("lemma24", lemma24_payload(nested_tensor(LIMIT // 2 - 2, PSI)), LIMIT - 1, 0),
+            ("lemma24", lemma24_payload("[%s]" % nested_tensor(LIMIT // 2 - 2, PSI)), LIMIT, 1),
+            ("lemma24", lemma24_payload(nested_tensor(LIMIT // 2 - 1, PSI)), LIMIT + 1, 3),
+        ]])
+    def test_nesting_limit(self, verb, payload, depth, status):
+        assert json_depth(payload) == depth
+        proc = run_process("-m", "wittcert.cli", verb, payload)
+        assert proc.returncode == status and "Traceback" not in proc.stderr
+        out = json.loads(proc.stdout)
+        if status == 3:
+            assert out["error"] == "limit-exceeded"
+        elif status == 1:
+            assert out["error"] == "malformed-input"
+        else:
+            assert "error" not in out
 
     def test_factorization_limit_exits_3(self):
         # 10^111 + 3 lies beyond exact primality testing; it used to run on

@@ -4,12 +4,21 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
-from wittcert import arith
-from wittcert.arith import DomainError, is_prime, squarefree_rep
-from wittcert.extensions import TRIVIAL_TOWER, make_tower, norm_member, witt_index_over
+from oracles import verify_certificate_by_parts
+from wittcert import arith, similitude
+from wittcert.arith import DomainError, _squarefree_part, is_prime, squarefree_rep
+from wittcert.extensions import (
+    TRIVIAL_TOWER,
+    ExtensionTower,
+    hyperbolicity_evidence,
+    make_tower,
+    norm_member,
+    witt_index_over,
+)
 from wittcert.forms import (
+    InvariantViolation,
     in_G,
     in_In,
     is_hyperbolic,
@@ -126,9 +135,10 @@ class TestLemmaBetaSearch:
 class TestNoFactoringPerCandidate:
     """The searches factor their multiplier once and take each candidate's
     primes from the stream, so scanning more candidates makes no more
-    factorizations.  For a = 3135 = 3 * 5 * 11 * 19 the first candidate in
-    the norm group is -110, after 106 others: at bound 10 no candidate
-    qualifies, at 10^6 the search scans all 107."""
+    factorizations, and neither the index test nor the certificate's own
+    check factors a candidate.  For a = 3135 = 3 * 5 * 11 * 19 the first
+    candidate in the norm group is -110, after 106 others: at bound 10 no
+    candidate qualifies, at 10^6 the search scans all 107."""
 
     A = 3135
     HIT = -110
@@ -146,19 +156,35 @@ class TestNoFactoringPerCandidate:
         phi = qform([1, 1, 1, 1])
         assert lemma_beta_search(phi, self.A, 10) is None
         assert lemma_beta_search(phi, self.A, 10**6) == self.HIT
-        scan = self.factorizations(monkeypatch, lemma_beta_search, phi, self.A, 10)
-        hit = self.factorizations(monkeypatch, lemma_beta_search, phi, self.A, 10**6)
-        # Only the index test of the one norm-group member factors.
-        index_test = self.factorizations(
-            monkeypatch, lambda: witt_index_over(phi, make_tower([self.HIT])))
-        assert hit == scan + index_test
+        # Only a is factored, once: the index test walks with the
+        # candidate's primes from the stream.
+        assert self.factorizations(monkeypatch, lemma_beta_search, phi, self.A, 10) == 1
+        assert self.factorizations(monkeypatch, lemma_beta_search, phi, self.A, 10**6) == 1
+
+    def test_lemma_beta_search_index_tests(self, monkeypatch):
+        # 2567 = 17 * 151: the norm-group members 2, 17, 34 and -151 fail
+        # the index test before -302 passes it; none of them is factored.
+        phi = qform([1, 1, 1, 1])
+        assert lemma_beta_search(phi, 2567) == -302
+        assert self.factorizations(monkeypatch, lemma_beta_search, phi, 2567) == 1
 
     def test_lemma24_certificate(self, monkeypatch):
         pi, psi = pfister([-1, -1]), qform([1, 1, 1, 1, 1, -1])
         assert lemma24_certificate(pi, psi, self.A, 10).tower == make_tower([-self.A])
         assert lemma24_certificate(pi, psi, self.A, 10**6).tower == make_tower([self.HIT])
-        assert (self.factorizations(monkeypatch, lemma24_certificate, pi, psi, self.A, 10)
-                == self.factorizations(monkeypatch, lemma24_certificate, pi, psi, self.A, 10**6))
+        # c is factored once; the tower's generator and the certificate's
+        # check take their primes from the search.
+        for bound in (10, 10**6):
+            assert self.factorizations(monkeypatch, lemma24_certificate, pi, psi, self.A,
+                                       bound) == 1
+
+    @pytest.mark.parametrize("tower", [[], [HIT], [HIT, 3]])
+    def test_verifier_factors_each_generator_and_the_multiplier_once(self, monkeypatch, tower):
+        pi, psi = pfister([-1, -1]), qform([1, 1, 1, 1, 1, -1])
+        phi = tensor(pi, psi)
+        cert = replace(lemma24_certificate(pi, psi, self.A), tower=make_tower(tower))
+        assert verify_certificate(phi, cert) == (tower == [self.HIT])
+        assert self.factorizations(monkeypatch, verify_certificate, phi, cert) == len(tower) + 1
 
 
 class TestCertificates:
@@ -361,6 +387,117 @@ class TestVerifier:
         assert verify_certificate(phi, cert)
         assert not verify_certificate(phi, replace(cert, multiplier=12))  # not square-free
         assert not verify_certificate(phi, replace(cert, square_adjustment=Fraction(2)))
+
+
+class TestSelfCheck:
+    """The search checks each certificate against every verifier condition
+    on the evidence it has just built: a fault anywhere below it still
+    raises `InvariantViolation`."""
+
+    PI, PSI = pfister([-1, -1]), qform([1, 1, 1, 1, 1, -3])  # signature 16
+
+    @staticmethod
+    def forge_evidence(monkeypatch, aniso_dim):
+        """Make the search's walk report `aniso_dim(i, ev)` at entry i."""
+        walk = similitude.hyperbolicity_evidence
+
+        def forged(phi, M, *args):
+            return [replace(ev, aniso_dim=aniso_dim(i, ev))
+                    for i, ev in enumerate(walk(phi, M, *args))]
+
+        monkeypatch.setattr(similitude, "hyperbolicity_evidence", forged)
+
+    @pytest.mark.parametrize("entry", [0, 1, -1])
+    def test_a_nonzero_local_anisotropic_dimension(self, monkeypatch, entry):
+        n = len(lemma24_certificate(self.PI, self.PSI, 2).evidence)
+        self.forge_evidence(monkeypatch, lambda i, ev: 2 if i == entry % n else ev.aniso_dim)
+        with pytest.raises(InvariantViolation):
+            lemma24_certificate(self.PI, self.PSI, 2)
+
+    def test_a_multiplier_outside_the_norm_group(self):
+        # 3 is not a sum of two squares, so not a norm from Q(sqrt -1),
+        # over which phi is hyperbolic.
+        phi = tensor(self.PI, self.PSI)
+        similitude._certificate(phi, make_tower([-2]), ((2,),), 3, 3, (3,))
+        with pytest.raises(InvariantViolation):
+            similitude._certificate(phi, make_tower([-1]), ((),), 3, 3, (3,))
+
+    def test_a_discriminant_outside_the_tower(self, monkeypatch):
+        # <1, 1> has discriminant -1, not a square in Q: the Kummer bound
+        # refuses it even when every walked completion reports 0.
+        self.forge_evidence(monkeypatch, lambda i, ev: 0)
+        with pytest.raises(InvariantViolation):
+            similitude._certificate(qform([1, 1]), TRIVIAL_TOWER, (), 1, 1, ())
+        similitude._certificate(qform([1, 1]), make_tower([-1]), ((),), 1, 1, ())
+
+    @pytest.mark.parametrize("primes", [(2, 2, 3), (2, 3), (3,)])
+    def test_a_generator_that_is_not_square_free(self, monkeypatch, primes):
+        # 7 = N(2 + sqrt -3) is a norm from Q(sqrt -12) = Q(sqrt -3), and
+        # phi is hyperbolic over it, so only the generator is at fault.
+        stream = [(-3, (3,))]
+        monkeypatch.setattr(similitude, "candidate_classes", lambda support, bound: stream)
+        assert lemma24_certificate(self.PI, self.PSI, 7).tower == make_tower([-3])
+        stream[:] = [(-12, primes)]
+        with pytest.raises(InvariantViolation):
+            lemma24_certificate(self.PI, self.PSI, 7)
+
+
+def certificate_conditions(phi, cert) -> bool:
+    """`_certificate_holds` on evidence and primes derived from scratch."""
+    gen_primes = [_squarefree_part(d)[1] for d in cert.tower.generators]
+    return similitude._certificate_holds(
+        phi, cert, hyperbolicity_evidence(phi, cert.tower), gen_primes,
+        _squarefree_part(cert.multiplier)[1])
+
+
+nonzero = st.integers(-60, 60).filter(bool)
+tampering = st.one_of(
+    st.tuples(st.just("multiplier"), st.one_of(nonzero, st.builds(Fraction, nonzero, nonzero))),
+    st.tuples(st.just("generator"), st.tuples(st.integers(0, 1), nonzero)),
+    st.tuples(st.just("adjustment"), st.one_of(
+        st.builds(lambda n, d: Fraction(n * n, d * d), nonzero, nonzero),
+        st.builds(Fraction, nonzero, nonzero))),
+)
+
+
+def tamper(cert, how):
+    what, value = how
+    if what == "multiplier":
+        return replace(cert, multiplier=value)
+    if what == "adjustment":
+        return replace(cert, square_adjustment=value)
+    i, g = value
+    gens = list(cert.tower.generators)
+    gens[min(i, len(gens)):i + 1] = [g]
+    return replace(cert, tower=ExtensionTower(tuple(gens)))
+
+
+class TestCertificateConditions:
+    """`verify_certificate` and the search's check decide the same
+    predicate; on searched and tampered certificates it agrees with the
+    verifier taken condition by condition through the public tests."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(slots, signed(6), multiplier, st.lists(tampering, max_size=2))
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("generator", (1, 5))])
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("generator", (1, -2)), ("generator", (0, -2))])
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], 3, [("generator", (0, -1))])
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("generator", (0, -12))])
+    @example([2, 5], [1, 1, 1, 1, 1, 2], 10, [("multiplier", 12)])
+    def test_agreement(self, ab, entries, c, tamperings):
+        pi, psi = pfister([squarefree_rep(a) for a in ab]), qform(entries)
+        try:
+            cert = lemma24_certificate(pi, psi, c)
+        except DomainError:
+            assume(False)
+        phi = tensor(pi, psi)
+        assert verify_certificate(phi, cert) and certificate_conditions(phi, cert)
+        for how in tamperings:
+            cert = tamper(cert, how)
+        want = verify_certificate_by_parts(phi, cert)
+        event(f"tampered {len(tamperings)}, valid {want}")
+        assert verify_certificate(phi, cert) == want
+        assert certificate_conditions(phi, cert) == want
 
 
 class TestThm4:

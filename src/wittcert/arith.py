@@ -182,10 +182,10 @@ def _class_product(a: int, b: int) -> int:
 
 
 def _is_rational_square(q: Rat) -> bool:
-    """Whether q is the square of a rational, by integer square roots."""
+    """Whether q is the square of a nonzero rational, by integer square roots."""
     q = Fraction(q)
     n, d = q.numerator, q.denominator
-    return n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+    return n > 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
 def _valuation_unit(p: int, r: Rat) -> tuple[int, int]:

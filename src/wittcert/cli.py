@@ -30,7 +30,7 @@ from .codecs import LimitExceeded, ParseError
 from .extensions import TRIVIAL_TOWER, aniso_dim_over, hyperbolicity_evidence, norm_member, norm_member_tower
 from .forms import disc, in_G, in_In, is_isometric, is_isotropic, signature, witt_decompose
 from .involutions import degree_index, involution_discriminant, is_split, norm_form, reduce_to_form
-from .localfields import Place, completions, form_class_at
+from .localfields import completions, form_class_at
 from .similitude import (
     DEFAULT_BOUND,
     lemma24_certificate,
@@ -55,26 +55,20 @@ class HypothesisFailure(Exception):
 
 
 def _form_invariants(phi, trace: bool) -> dict:
-    walk = [(v, E, form_class_at(phi.entries, E)) for v, E, _ in completions(phi.support)]
+    walk = [(E, form_class_at(phi.entries, E)) for E in completions(phi.support)]
     w, aniso, cls = witt_decompose(phi, walk)
     out = {
         "dim": phi.dim,
         "disc": disc(phi),
         "signature": signature(phi),
-        "hasse_minus_places": _minus_places(cls),
+        "hasse_minus_places": [str(v) for v in cls.hasse_minus_places],
         "isotropic": w > 0,
         "witt_index": w,
         "aniso_dim": aniso,
     }
     if trace:
-        out["hasse"] = [{"place": str(v), "value": c.hasse} for v, _, c in walk]
+        out["hasse"] = [{"place": str(E.base), "value": c.hasse} for E, c in walk]
     return out
-
-
-def _minus_places(cls) -> list[str]:
-    """The places where a Witt class has Hasse invariant -1, real first,
-    then the primes in increasing order."""
-    return [str(v) for v in sorted(cls.hasse_minus_places, key=Place.sort_key)]
 
 
 def _run_verb(verb: str, payload, opts) -> dict:
@@ -103,7 +97,7 @@ def _run_verb(verb: str, payload, opts) -> dict:
                 "aniso_class": {
                     "dim_parity": cls.dim_parity,
                     "disc": cls.disc,
-                    "hasse_minus_places": _minus_places(cls),
+                    "hasse_minus_places": [str(v) for v in cls.hasse_minus_places],
                     "signature": cls.signature,
                 }}
 

@@ -209,7 +209,7 @@ def dump_evidence(evidence) -> list[dict]:
     multiplicity and the local verdict."""
     return [
         {
-            "place": str(ev.place),
+            "place": str(ev.completion.base),
             "completion": dump_completion(ev.completion),
             "multiplicity": ev.multiplicity,
             "local_verdict": {"aniso_dim": ev.aniso_dim,

@@ -8,8 +8,9 @@ a rational discriminant is the Kummer condition "class lies in the subgroup
 generated by the tower generators"; given that, every place outside the prime
 support of (entries + generators, 2, real) is automatically split.  The
 completions at those places, each a `LocalField` of the generators, come from
-`localfields.completions`; `hyperbolicity_evidence` holds one local verdict
-per completion, and `aniso_dim_over` is their maximum with the Kummer bound
+`localfields.completions` over that support, whose generator primes only
+`hyperbolicity_evidence` factors; it holds one local verdict per completion,
+and `aniso_dim_over` is their maximum with the Kummer bound
 (`_aniso_dim_from`, which the certificate checks read too).
 
 Norm membership in a quadratic extension is Hasse's norm theorem: a Hilbert
@@ -26,7 +27,6 @@ from fractions import Fraction
 from .arith import DomainError, Rat, _class_product, _is_rational_square, _squarefree_part, squarefree_rep
 from .localfields import (
     LocalField,
-    Place,
     _symbol_split_at,
     completions,
     form_class_at,
@@ -132,21 +132,24 @@ def is_hyperbolic_over(phi: QForm, M: ExtensionTower) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class PlaceEvidence:
-    """One completion's verdict inside a hyperbolicity certificate."""
+    """One completion's verdict inside a hyperbolicity certificate; its
+    place is `completion.base`."""
 
-    place: Place
     completion: LocalField
     multiplicity: int
     aniso_dim: int
 
 
 def hyperbolicity_evidence(phi: QForm, M: ExtensionTower, gen_primes=None) -> list[PlaceEvidence]:
-    """The anisotropic dimension of phi over each completion of M that the
-    walk yields, from one local class per completion.  `gen_primes`, the
-    primes of each of M's generators when the caller holds them, spares
-    their factorization."""
-    return [PlaceEvidence(v, E, mult, local_aniso_dim(form_class_at(phi.entries, E), E))
-            for v, E, mult in completions(phi.support, M.generators, gen_primes)]
+    """The anisotropic dimension of phi over each completion of M above the
+    primes of phi and of M's generators, from one local class per
+    completion, with the number of places of M above its place (all
+    conjugate: M's degree over the completion's).  `gen_primes`, the primes
+    of each generator when the caller holds them, spares their factoring."""
+    if gen_primes is None:
+        gen_primes = [_squarefree_part(g)[1] for g in M.generators]
+    return [PlaceEvidence(E, M.degree // E.degree, local_aniso_dim(form_class_at(phi.entries, E), E))
+            for E in completions(phi.support.union(*gen_primes), M.generators)]
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,10 @@ similarity-factor tests.
 Forms are identified with diagonal representatives over square classes;
 isometry is decided by the complete invariant set (dimension, discriminant,
 signature, Hasse invariants at all places), which classifies forms over Q.
-Every verdict is a fold over the walk `localfields.completions` over the
-real place, 2 and the primes of the form, one `form_class_at` per
-completion; the real place is one more completion, and the local laws
+Every verdict is a fold over the (completion, class) pairs of the walk
+`localfields.completions` over the real place, 2 and the primes of the
+form, one `form_class_at` per completion, whose place is its `base`; the
+real place is one more completion, and the local laws
 (`local_aniso_dim`, `_split_planes`) hold there as at every prime, so no
 decision treats it apart.  Isotropy stops at the first obstructing place.
 How a local class is encoded is known only to `localfields`.
@@ -113,7 +114,7 @@ class WittClassQ:
 
     dim_parity: int
     disc: int
-    hasse_minus_places: frozenset[Place]
+    hasse_minus_places: tuple[Place, ...]  # walk order: real, then primes increasing
     signature: int
 
 
@@ -147,9 +148,9 @@ def hasse_invariant(phi: QForm, v: Place) -> int:
 def isotropy_obstruction(phi: QForm) -> Place | None:
     """The first place of the walk where the form is locally anisotropic,
     if any.  Forms of dimension 0 and 1 are anisotropic at the real place."""
-    for v, E, _ in completions(phi.support):
+    for E in completions(phi.support):
         if local_aniso_dim(form_class_at(phi.entries, E), E) == phi.dim:
-            return v
+            return E.base
     return None
 
 
@@ -169,19 +170,20 @@ def witt_decompose(phi: QForm, local=None) -> tuple[int, int, WittClassQ]:
     (`localfields._split_planes`).  The Arason-Pfister guard reads the same
     classes and raises `InvariantViolation` if a form in I^4 has anisotropic
     dimension strictly between 0 and 16.  A caller that already holds the
-    classes passes them as `local`: (place, completion, form_class_at) at
-    each completion of `completions(phi.support)`.
+    classes passes them as `local`: (completion, form_class_at) at each
+    completion of `completions(phi.support)`.
     """
     n = phi.dim
     d = disc(phi)
     sig = signature(phi)
     if local is None:
-        local = [(v, E, form_class_at(phi.entries, E)) for v, E, _ in completions(phi.support)]
-    aniso = max(local_aniso_dim(cls, E) for _, E, cls in local)
+        local = [(E, form_class_at(phi.entries, E)) for E in completions(phi.support)]
+    aniso = max(local_aniso_dim(cls, E) for E, cls in local)
     witt_index = (n - aniso) // 2
-    minus = {v for v, E, cls in local if _split_planes(cls.hasse, d, n, aniso, E) == -1}
-    cls = WittClassQ(aniso % 2, d if aniso else 1, frozenset(minus), sig)
-    if _in_I(4, n, d, sig, ((c, E) for _, E, c in local)) and 0 < aniso < 16:
+    # A list: tuple() of a generator shrinks an oversized tuple and grows CPython's free lists.
+    minus = tuple([E.base for E, cls in local if _split_planes(cls.hasse, d, n, aniso, E) == -1])
+    cls = WittClassQ(aniso % 2, d if aniso else 1, minus, sig)
+    if _in_I(4, n, d, sig, local) and 0 < aniso < 16:
         raise InvariantViolation(
             f"Arason-Pfister violation: {phi} lies in I^4 with anisotropic dimension {aniso}"
         )
@@ -210,7 +212,7 @@ def is_isometric(phi: QForm, psi: QForm) -> bool:
     if disc(phi) != disc(psi) or signature(phi) != signature(psi):
         return False
     return all(form_class_at(phi.entries, E).hasse == form_class_at(psi.entries, E).hasse
-               for _, E, _ in completions(phi.support | psi.support))
+               for E in completions(phi.support | psi.support))
 
 
 def witt_equivalent(phi: QForm, psi: QForm) -> bool:
@@ -320,13 +322,13 @@ def in_In(phi: QForm, n: int) -> bool:
     ideal, 1 <= n <= 4."""
     if n not in (1, 2, 3, 4):
         raise DomainError("only I^1..I^4 are supported")
-    local = ((form_class_at(phi.entries, E), E) for _, E, _ in completions(phi.support))
+    local = ((E, form_class_at(phi.entries, E)) for E in completions(phi.support))
     return _in_I(n, phi.dim, disc(phi), signature(phi), local)
 
 
 def _in_I(n: int, dim: int, d: int, sig: int, local) -> bool:
     """The exact criterion for I^n over Q, 1 <= n <= 4, from the dimension,
-    discriminant and signature of a form and its (class, completion) pairs
+    discriminant and signature of a form and its (completion, class) pairs
     along the walk, which are read only when every global condition holds:
     even dimension; for n >= 2 trivial discriminant; for n >= 3 signature
     divisible by 8 resp. 16 and, at every completion, the Hasse invariant
@@ -337,4 +339,4 @@ def _in_I(n: int, dim: int, d: int, sig: int, local) -> bool:
     if n <= 2:
         return True
     return sig % (8 if n == 3 else 16) == 0 and all(
-        _split_planes(cls.hasse, 1, dim, 0, E) == 1 for cls, E in local)
+        _split_planes(cls.hasse, 1, dim, 0, E) == 1 for E, cls in local)

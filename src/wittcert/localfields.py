@@ -31,9 +31,12 @@ to this module: other modules read local data only through `form_class_at`,
 memoised.
 
 `completions` walks the completions of a tower above the real place, 2 and
-the primes of an instance in a fixed order.  Every local-global decision in
-`forms`, `extensions` and the CLI reads its local classes from that walk,
-one `form_class_at` per form and completion, the real place included.
+the primes of a support in a fixed order, yielding each `LocalField` once;
+its place is its `base`.  The caller supplies the whole support, the
+tower's primes included: this module factors nothing.  Every local-global
+decision in `forms`, `extensions` and the CLI reads its local classes from
+that walk, one `form_class_at` per form and completion, the real place
+included.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .arith import DomainError, Rat, _valuation_unit, is_prime, prime_support
+from .arith import DomainError, Rat, _valuation_unit, is_prime
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +61,6 @@ class Place:
     @property
     def is_real(self) -> bool:
         return self.p is None
-
-    def sort_key(self):
-        return (0, 0) if self.p is None else (1, self.p)
 
     def __str__(self) -> str:
         return "real" if self.p is None else str(self.p)
@@ -241,22 +241,17 @@ def local_square_class(a: Rat, E: LocalField) -> int:
 # Completions of a tower, and the walk over the ones a decision reads.
 
 
-def completions(primes, gens=(), gen_primes=None) -> Iterator[tuple[Place, LocalField, int]]:
-    """(place, completion, multiplicity) of the tower Q(sqrt g : g in gens)
-    (independent square-free generators) above the real place, 2, the primes
-    of `primes` and the primes of the generators, in that order (primes
-    increasing): the only completions where a form whose entries are
-    supported on `primes` can have a nontrivial local invariant.  The
-    multiplicity is the number of places of the tower above the place, all
-    conjugate, so it is the tower's degree over the completion's.  Every
-    local-global decision reads its local classes from this walk.  A caller
-    that holds the primes of each generator passes them as `gen_primes`, and
-    the generators are not factored."""
-    degree = 1 << len(gens)
-    support = prime_support(gens) if gen_primes is None else {2}.union(*gen_primes)
-    for v in chain((REAL,), map(Place, sorted(support.union(primes)))):
-        E = LocalField(v, gens)
-        yield v, E, degree // E.degree
+def completions(support, gens=()) -> Iterator[LocalField]:
+    """The completions of the tower Q(sqrt g : g in gens) (independent
+    square-free generators) above the real place, 2 and the primes of
+    `support`, in that order (primes increasing), each once: the only
+    completions where a form whose entries are supported on `support` can
+    have a nontrivial local invariant.  The caller passes the full support,
+    the generators' primes included; nothing is factored here, and each
+    completion's place is its `base`.  Every local-global decision reads its
+    local classes from this walk."""
+    for v in chain((REAL,), map(Place, sorted({2}.union(support)))):
+        yield LocalField(v, gens)
 
 
 # ----------------------------------------------------------------------

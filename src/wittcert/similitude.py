@@ -271,14 +271,18 @@ def _certify_in_I4(phi: QForm, c: Rat, c_sf: int, primes, bound: int) -> HypCert
 def verify_certificate(phi: QForm, cert: HypCertificate) -> bool:
     """Independent re-derivation of both certificate conclusions (the engine
     keeps no cache, so nothing is shared with any search): each generator
-    and the multiplier are factored once, the evidence over the tower is
-    walked afresh, and `_certificate_holds` is decided on them."""
-    tower = cert.tower
-    if len(tower.generators) > 2 or cert.multiplier == 0:
-        return False  # no walk over such a tower; 0 has no square class
+    is factored once, and the multiplier's primes come from one factorization
+    by parts of multiplier / square_adjustment (the c of the search, in the
+    multiplier's square class once the adjustment is a nonzero square); the
+    evidence over the tower is walked afresh, and `_certificate_holds` is
+    decided on them."""
+    tower, adjustment = cert.tower, cert.square_adjustment
+    if len(tower.generators) > 2 or cert.multiplier == 0 or not _is_rational_square(adjustment):
+        return False  # no walk over such a tower; 0 has no square class; no c
     gen_primes = [_squarefree_part(d)[1] for d in tower.generators]
+    c_primes = _squarefree_part(Fraction(cert.multiplier) / adjustment)[1]
     return _certificate_holds(phi, cert, hyperbolicity_evidence(phi, tower, gen_primes),
-                              gen_primes, _squarefree_part(cert.multiplier)[1])
+                              gen_primes, c_primes)
 
 
 def _certificate_holds(phi: QForm, cert: HypCertificate, evidence, gen_primes,
@@ -287,7 +291,7 @@ def _certificate_holds(phi: QForm, cert: HypCertificate, evidence, gen_primes,
     over its tower, the primes of each generator (`gen_primes`, in order)
     and the primes of the multiplier (`c_primes`): at most two generators,
     each a square-free class != 1 (the signed product of its primes) and
-    the two distinct; a square-free multiplier; a square adjustment; phi
+    the two distinct; a square-free multiplier; a nonzero square adjustment; phi
     hyperbolic over the tower (the Kummer bound and every local anisotropic
     dimension 0, `_aniso_dim_from`); and the multiplier a norm from each
     quadratic subextension (Hasse's norm theorem and the intersection law

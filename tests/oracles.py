@@ -419,7 +419,7 @@ def verify_certificate_by_parts(phi, cert) -> bool:
     """The certificate verifier through the public tests, one condition at a
     time: the tower's generators and the multiplier square-free by
     `squarefree_rep`, the two generators independent, the adjustment a
-    rational square, phi hyperbolic by `is_hyperbolic_over` and the
+    nonzero rational square, phi hyperbolic by `is_hyperbolic_over` and the
     multiplier a norm by `norm_member_tower`."""
     gens = cert.tower.generators
     if len(gens) > 2:
@@ -431,7 +431,7 @@ def verify_certificate_by_parts(phi, cert) -> bool:
     if cert.multiplier == 0 or squarefree_rep(cert.multiplier) != cert.multiplier:
         return False
     adjustment = Fraction(cert.square_adjustment)
-    if adjustment < 0 or not (perfect_square(adjustment.numerator)
+    if adjustment <= 0 or not (perfect_square(adjustment.numerator)
                               and perfect_square(adjustment.denominator)):
         return False
     return is_hyperbolic_over(phi, cert.tower) and norm_member_tower(cert.multiplier, cert.tower)

@@ -336,12 +336,31 @@ class TestRationalArguments:
     ])
     def test_certificate_for_a_multiplier_class_beyond_the_factorization_limit(
             self, capsys, verb, payload):
-        # c is factored by parts, and neither the search nor its check of
-        # the certificate factors the class 4000000000024000000000027.
+        # c is factored by parts, and neither the search, its check of the
+        # certificate nor the verifier factors the class
+        # 4000000000024000000000027: the verifier factors multiplier /
+        # square_adjustment, which is c.
         code, out = run_json(capsys, verb, payload)
         cert = out["certificate"] if verb == "lemma24" else out["multipliers"][0]["certificate"]
         assert code == 0 and cert["multiplier"] == 4000000000024000000000027
         assert cert["tower"]["generators"] == [-2]
+        verify_payload = json.dumps({
+            "form": {"tensor": [{"pfister": [-1, -1]}, {"diag": [1, 1, 1, 1, 1, -3]}]},
+            "certificate": cert,
+        })
+        assert run_json(capsys, "verify-cert", verify_payload) == (0, {"valid": True})
+
+    def test_certificate_with_a_zero_adjustment_is_invalid(self, capsys):
+        # c * s^2 = multiplier needs s^2 != 0.
+        lemma24 = '{"pi":{"pfister":[-1,-1]},"psi":{"diag":[1,1,1,1,1,-3]},"c":2}'
+        _, out = run_json(capsys, "lemma24", lemma24)
+        payload = {
+            "form": {"tensor": [{"pfister": [-1, -1]}, {"diag": [1, 1, 1, 1, 1, -3]}]},
+            "certificate": out["certificate"],
+        }
+        assert run_json(capsys, "verify-cert", json.dumps(payload)) == (0, {"valid": True})
+        payload["certificate"] = dict(out["certificate"], square_adjustment=0)
+        assert run_json(capsys, "verify-cert", json.dumps(payload)) == (0, {"valid": False})
 
     @pytest.mark.parametrize("n", ["2.7", "true", '"4"'])
     def test_in_in_n_must_be_an_integer(self, capsys, n):

@@ -22,7 +22,7 @@ from test_acceptance import _generate_lemma24_instances
 from wittcert import forms, localfields
 from wittcert.cli import main
 from wittcert.arith import DomainError, _class_product, prime_support, squarefree_rep
-from wittcert.extensions import aniso_dim_over, make_tower
+from wittcert.extensions import aniso_dim_over, hyperbolicity_evidence, make_tower
 from wittcert.forms import (
     QForm,
     in_G,
@@ -94,13 +94,17 @@ class TestFiberRule:
             M = make_tower([rng.choice([-1, 1]) * rng.randint(2, 60)
                             for _ in range(rng.randint(0, 2))])
             phi = qform([rng.choice([-1, 1]) * rng.randint(1, 200) for _ in range(4)])
-            walk = list(completions(phi.support, M.generators))
-            assert walk[0][0] == REAL
-            primes = [v.p for v, _, _ in walk[1:]]
-            assert primes == sorted(phi.support | prime_support(M.generators))
-            for v, E, mult in walk:
-                assert LocalField(v, M.generators) == E and E.base == v
-                assert E.degree * mult == M.degree
+            support = phi.support | prime_support(M.generators)
+            walk = list(completions(support, M.generators))
+            places = [E.base for E in walk]
+            assert places[0] == REAL
+            assert [v.p for v in places[1:]] == sorted(support)
+            for E in walk:
+                assert LocalField(E.base, M.generators) == E
+            evidence = hyperbolicity_evidence(phi, M)
+            assert [ev.completion for ev in evidence] == walk
+            for ev in evidence:
+                assert ev.completion.degree * ev.multiplicity == M.degree
 
 
 class TestDerivation:
@@ -182,9 +186,9 @@ class TestDerivation:
         for M in TOWERS:
             for log in calls.values():
                 log.clear()
-            walk = list(completions(phi.support, M.generators))
+            walk = list(completions(phi.support | prime_support(M.generators), M.generators))
             finite = [p for _, p in calls["_kummer_group"]]
-            assert finite == [v.p for v, _, _ in walk if not v.is_real]
+            assert finite == [E.base.p for E in walk if not E.base.is_real]
             assert [args[0] for args in calls["_base_reps"]] == finite
         calls["_kummer_group"].clear()
         LocalField(REAL, (-1,))

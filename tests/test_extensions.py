@@ -6,6 +6,7 @@ from oracles import check_quadratic_witness, norm_witness, quadratic_field_witne
 from wittcert.arith import DomainError, squarefree_rep
 from wittcert.extensions import (
     TRIVIAL_TOWER,
+    ExtensionTower,
     aniso_dim_over,
     hyperbolicity_evidence,
     is_hyperbolic_over,
@@ -15,7 +16,7 @@ from wittcert.extensions import (
     witt_index_over,
 )
 from wittcert.forms import pfister, qform, tensor, witt_decompose, witt_equivalent, scale
-from wittcert.localfields import Place, REAL, completions
+from wittcert.localfields import Place, REAL
 
 
 def random_tower(rng, max_gens=2):
@@ -56,9 +57,12 @@ class TestMakeTower:
 
 def fiber(v, gens):
     """The completion of the tower Q(sqrt g : g in gens) above v and the
-    number of places above v, as the walk over completions gives them."""
-    primes = () if v.is_real else (v.p,)
-    return next((E, mult) for w, E, mult in completions(primes, gens) if w == v)
+    number of places above v, as `hyperbolicity_evidence` of a form
+    supported at v gives them from the walk over completions."""
+    phi = qform([1] if v.is_real else [v.p])
+    ev = next(ev for ev in hyperbolicity_evidence(phi, ExtensionTower(tuple(gens)))
+              if ev.completion.base == v)
+    return ev.completion, ev.multiplicity
 
 
 class TestCompletionFibers:
@@ -148,8 +152,7 @@ class TestHyperbolicOver:
         phi = pfister([-1, -1])
         M = make_tower([-1])
         ev = hyperbolicity_evidence(phi, M)
-        places = {str(e.place) for e in ev}
-        assert places == {"real", "2"}
+        assert [str(e.completion.base) for e in ev] == ["real", "2"]
         assert all(e.aniso_dim == 0 for e in ev)
 
 

@@ -4,7 +4,9 @@ module of the package reads local data through `form_class_at`,
 `local_aniso_dim`, `_split_planes` and the symbols; this test reads each
 module's syntax tree and fails on any import or mention of the encoding's
 private names.  `forms` also reads the real place from the walk like any
-other completion, so it names neither the real place nor a symbol."""
+other completion, so it names neither the real place nor a symbol.  The
+walk factors nothing: `localfields` names no factoring function, and its
+callers pass the primes."""
 
 import ast
 from pathlib import Path
@@ -53,3 +55,9 @@ def test_localfields_defines_the_encoding():
 def test_forms_sets_no_place_apart():
     names = names_used(ast.parse((PACKAGE / "forms.py").read_text()))
     assert not names & {"REAL", "is_real", "hilbert_symbol"}
+
+
+def test_localfields_factors_nothing():
+    names = names_used(ast.parse((PACKAGE / "localfields.py").read_text()))
+    assert not names & {"factorize", "prime_support", "_factorize_rat", "_squarefree_part",
+                        "squarefree_rep"}

@@ -484,6 +484,7 @@ class TestCertificateConditions:
     @example([-1, -1], [1, 1, 1, 1, 1, -3], 3, [("generator", (0, -1))])
     @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("generator", (0, -12))])
     @example([2, 5], [1, 1, 1, 1, 1, 2], 10, [("multiplier", 12)])
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("adjustment", 0)])
     def test_agreement(self, ab, entries, c, tamperings):
         pi, psi = pfister([squarefree_rep(a) for a in ab]), qform(entries)
         try:

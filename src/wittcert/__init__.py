@@ -73,7 +73,6 @@ from .similitude import (
     PipelineReport,
     lemma24_certificate,
     lemma_beta_search,
-    prop_index_check,
     thm4_decompose,
     thm6_pipeline,
     verify_certificate,

@@ -154,7 +154,7 @@ def _factorize_rat(r: Rat) -> dict[int, int]:
 def _squarefree_part(r: Rat) -> tuple[int, list[int]]:
     """(squarefree_rep(r), the primes dividing it), from one factorization
     of each of the numerator and the denominator."""
-    if not isinstance(r, int):
+    if not isinstance(r, (int, Fraction)):
         r = Fraction(r)
     if r == 0:
         raise DomainError("squarefree_rep of 0")
@@ -183,7 +183,8 @@ def _class_product(a: int, b: int) -> int:
 
 def _is_rational_square(q: Rat) -> bool:
     """Whether q is the square of a nonzero rational, by integer square roots."""
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     n, d = q.numerator, q.denominator
     return n > 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 

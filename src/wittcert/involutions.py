@@ -4,17 +4,19 @@ involution algebras (A, sigma) = Ad(phi) (x) (Q, can).
 The pair (phi, Q) is a complete proxy for every question asked here: the
 multiplier group and the hyperbolicity behaviour of (A, sigma) coincide with
 those of the trace form psi = phi (x) n_Q, so no matrix model of the algebra
-is ever built.  The discriminant of the involution is carried as a 3-fold
-Pfister representative <<a, b, disc phi>>; triviality of the class is
-hyperbolicity of that form.
+is ever built.  Both structural facts are decided by theorem, with no walk
+over places: splitting by Hasse's norm test, and the discriminant of the
+involution, carried as the 3-fold Pfister representative <<a, b, disc phi>>,
+by the sign of that form at the real place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import DomainError, squarefree_rep
-from .forms import QForm, disc, is_hyperbolic, is_isotropic, pfister, tensor
+from .arith import DomainError, _squarefree_part, squarefree_rep
+from .extensions import _norm_member
+from .forms import QForm, disc, pfister, tensor
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +56,11 @@ def norm_form(q: QuaternionAlg) -> QForm:
 
 
 def is_split(q: QuaternionAlg) -> bool:
-    """Split iff the norm form is isotropic (iff every local symbol is +1)."""
-    return is_isotropic(norm_form(q))
+    """(a, b) splits iff a is a norm from Q(sqrt b), which is all of Q* when
+    b is a square (Serre, A Course in Arithmetic, III): Hasse's norm test on
+    one factorization of each slot."""
+    b, b_primes = _squarefree_part(q.b)
+    return b == 1 or _norm_member(*_squarefree_part(q.a), b, b_primes)
 
 
 def degree_index(alg: InvolutionAlgebra) -> tuple[int, int]:
@@ -67,6 +72,12 @@ def involution_discriminant(alg: InvolutionAlgebra) -> tuple[QForm, bool]:
     """The discriminant of the symplectic involution as the 3-fold Pfister
     representative <<a, b, disc phi>>, plus its triviality.
 
+    A 3-fold Pfister form over Q_p has dimension 8 > 4, so it is isotropic,
+    hence hyperbolic (Lam, Introduction to Quadratic Forms over Fields,
+    X.1); over R, <<a, b, c>> is anisotropic iff a, b and c are all
+    negative.  So the class is trivial iff the three slots are not all
+    negative.
+
     Defined only when 2*ind(A) divides deg(A); for this constructor that
     fails exactly when the quaternion is division and dim(phi) is odd, so
     splitting is decided only for odd dim(phi).
@@ -75,9 +86,8 @@ def involution_discriminant(alg: InvolutionAlgebra) -> tuple[QForm, bool]:
         raise DomainError(
             f"discriminant undefined: 2*ind = 4 does not divide deg = {alg.degree}"
         )
-    c = disc(alg.phi)
-    delta = pfister([alg.q.a, alg.q.b, c])
-    return delta, is_hyperbolic(delta)
+    slots = [alg.q.a, alg.q.b, disc(alg.phi)]
+    return pfister(slots), any(s > 0 for s in slots)
 
 
 def reduce_to_form(alg: InvolutionAlgebra) -> QForm:

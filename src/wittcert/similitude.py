@@ -31,7 +31,6 @@ from .extensions import (
     _aniso_dim_from,
     _norm_member,
     hyperbolicity_evidence,
-    witt_index_over,
 )
 from .forms import (
     InvariantViolation,
@@ -280,7 +279,7 @@ def verify_certificate(phi: QForm, cert: HypCertificate) -> bool:
     if len(tower.generators) > 2 or cert.multiplier == 0 or not _is_rational_square(adjustment):
         return False  # no walk over such a tower; 0 has no square class; no c
     gen_primes = [_squarefree_part(d)[1] for d in tower.generators]
-    c_primes = _squarefree_part(Fraction(cert.multiplier) / adjustment)[1]
+    c_primes = _squarefree_part(Fraction(cert.multiplier, adjustment))[1]
     return _certificate_holds(phi, cert, hyperbolicity_evidence(phi, tower, gen_primes),
                               gen_primes, c_primes)
 
@@ -423,18 +422,3 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
         report.multipliers.append(MultiplierResult(c_sf, "certificate", cert))
     return report
 
-
-# ----------------------------------------------------------------------
-# Numerically checkable shadow of the anisotropic-kernel factorisation.
-
-
-def prop_index_check(pi: QForm, psi: QForm, M: ExtensionTower) -> bool:
-    """For phi = pi (x) psi (pi a Pfister form, psi even-dimensional), the
-    anisotropic kernel over any extension is pi (x) (something of dimension
-    congruent to dim psi mod 2): check that the anisotropic dimension over M
-    is divisible by dim pi with quotient of the right parity."""
-    phi = tensor(pi, psi)
-    aniso = phi.dim - 2 * witt_index_over(phi, M)
-    if aniso % pi.dim:
-        return False
-    return (aniso // pi.dim) % 2 == psi.dim % 2

@@ -21,11 +21,14 @@ from wittcert.extensions import (
     is_hyperbolic_over,
     make_tower,
     norm_member_tower,
+    witt_index_over,
 )
 from wittcert.forms import (
     HYPERBOLIC_PLANE,
+    disc,
     is_hyperbolic,
     is_isometric,
+    is_isotropic,
     orth_sum,
     pfister,
     qform,
@@ -33,6 +36,7 @@ from wittcert.forms import (
     scale,
     tensor,
 )
+from wittcert.involutions import norm_form
 from wittcert.localfields import LocalFormClass, hilbert_symbol, local_square_class
 from wittcert.similitude import _MAX_FACTORS, _SMALL_PRIMES, HypCertificate, lemma_beta_search
 
@@ -395,6 +399,29 @@ def real_kernel_hasse_by_negs(aniso: int, sig: int) -> int:
 def norm_member_via_represents(c, d) -> bool:
     """c in N*_{Q(sqrt d)} iff the norm form <1, -d> represents c."""
     return represents(qform([1, -d]), c)
+
+
+def is_split_by_walk(q) -> bool:
+    """(a, b) splits iff its norm form <<a, b>> is isotropic."""
+    return is_isotropic(norm_form(q))
+
+
+def delta_trivial_by_walk(alg) -> bool:
+    """The involution discriminant is trivial iff <<a, b, disc phi>> is
+    hyperbolic."""
+    return is_hyperbolic(pfister([alg.q.a, alg.q.b, disc(alg.phi)]))
+
+
+def prop_index_check(pi, psi, M) -> bool:
+    """For phi = pi (x) psi (pi a Pfister form, psi even-dimensional), the
+    anisotropic kernel over any extension is pi (x) (something of dimension
+    congruent to dim psi mod 2): check that the anisotropic dimension over M
+    is divisible by dim pi with quotient of the right parity."""
+    phi = tensor(pi, psi)
+    aniso = phi.dim - 2 * witt_index_over(phi, M)
+    if aniso % pi.dim:
+        return False
+    return (aniso // pi.dim) % 2 == psi.dim % 2
 
 
 def eager_candidate_classes(support_primes, bound):

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from oracles import check_witness, isotropic_witness, kummer_group, least_member
+from oracles import check_witness, isotropic_witness, kummer_group, least_member, prop_index_check
 from test_local import derived
 from wittcert import forms as forms_mod
 from wittcert.arith import prime_support, squarefree_rep
@@ -33,7 +33,6 @@ from wittcert.localfields import (
 from wittcert.similitude import (
     HypCertificate,
     lemma24_certificate,
-    prop_index_check,
     thm4_decompose,
     thm6_pipeline,
     verify_certificate,

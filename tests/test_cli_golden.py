@@ -4,7 +4,9 @@ golden file.
 
 The payloads cover the README examples and dyadic, tower, rational-`diag`,
 large-entry, search-bound and error cases.  Tower generators, quaternion
-slots, `n` and `d` are integers throughout.
+slots, `n` and `d` are integers throughout.  The verbs that build sets of
+places and primes also print the same bytes in fresh interpreters under
+different string-hash seeds.
 
 To record the golden file after an intended output change, run
 `PYTHONPATH=src python tests/test_cli_golden.py`.
@@ -13,6 +15,9 @@ To record the golden file after an intended output change, run
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +25,7 @@ import pytest
 from wittcert.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CERT = {
     "schema": "hyp-certificate/1", "multiplier": 2,
@@ -170,6 +176,40 @@ def test_golden_lists_these_cases():
 def test_cli_output_matches_golden(index):
     expected = json.loads(GOLDEN.read_text())[index]
     assert run(CASES[index]) == expected
+
+
+HASH_SEED_VERBS = {"invariants", "witt", "delta", "lemma24", "thm6", "verify-cert"}
+
+# Runs each argv read from stdin through the CLI and prints the records as
+# JSON, as `run` makes them.
+CHILD = """
+import contextlib, io, json, sys
+from wittcert.cli import main
+records = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    records.append({"argv": argv, "exit": code, "stdout": out.getvalue()})
+json.dump(records, sys.stdout)
+"""
+
+
+def test_output_is_independent_of_the_hash_seed():
+    """One fresh interpreter per seed runs every golden entry of the verbs
+    above; the two print the same bytes, and the golden records."""
+    cases = [argv for argv in CASES if argv[0] in HASH_SEED_VERBS]
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(cases).encode(),
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    expected = [r for r in json.loads(GOLDEN.read_text()) if r["argv"][0] in HASH_SEED_VERBS]
+    assert len(expected) == 76
+    assert json.loads(outputs[0]) == expected
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """The walk over completions and what the decisions built on it rely on:
 the fiber rule on every Kummer group, everything a completion derives from
 its generators, one local class per (form, completion) in each decision,
-each verdict of the degree-12 pipeline decided once, no Witt decomposition
-in the lemma24 search, and the verdicts the walk lets a caller read off one
+each verdict of the degree-12 pipeline decided once, its hypotheses
+decided without a walk, no Witt decomposition in the lemma24 search, and
+the verdicts the walk lets a caller read off one
 decomposition."""
 
 import contextlib
@@ -47,7 +48,7 @@ from wittcert.localfields import (
     hilbert_symbol,
     local_aniso_dim,
 )
-from wittcert.involutions import quaternion
+from wittcert.involutions import InvolutionAlgebra, degree_index, involution_discriminant, quaternion
 from wittcert.similitude import lemma24_certificate, thm6_pipeline
 
 
@@ -281,6 +282,35 @@ class TestOneClassPerCompletion:
         for nf, psi, c in _generate_lemma24_instances(rng, 12):
             lemma24_certificate(nf, psi, c)
         assert calls == []
+
+
+class TestWalksPerDecision:
+    """Walks over completions, counted wherever a module binds
+    `completions`: the algebra layer decides by theorem and walks nothing,
+    so the degree-12 pipeline walks once per certificate."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        spy(monkeypatch, localfields.completions, calls)
+        return calls
+
+    @pytest.mark.parametrize("phi, q", [
+        ([1, 1, 1, 1, 1, 2], (2, 5)), ([1, 1, 1, 1, 1, 1], (-1, -1)),
+        ([1, -2, 3, -5, 7, -11], (3, 7)), ([1, 1, 1], (1, 5)), ([2, -3, 5], (5, -5)),
+        ([2, -3, 5], (-1, 3)),
+    ], ids=str)
+    def test_index_and_discriminant_walk_nothing(self, walks, phi, q):
+        alg = InvolutionAlgebra(qform(phi), quaternion(*q))
+        degree_index(alg)
+        with contextlib.suppress(DomainError):  # undefined: division q, odd dim phi
+            involution_discriminant(alg)
+        assert walks == []
+
+    def test_thm6_walks_once_per_certificate(self, walks):
+        report = thm6_pipeline(qform([1, -2, 3, -5, 7, -11]), quaternion(-1, -1))
+        assert [m.status for m in report.multipliers] == ["certificate"] * 10
+        assert len(walks) == 10
 
 
 def test_signature_decides_hyperbolicity_in_I4():

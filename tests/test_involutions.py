@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import delta_trivial_by_walk, is_split_by_walk
 from wittcert import involutions
 from wittcert.arith import DomainError
 from wittcert.forms import (
@@ -17,6 +18,7 @@ from wittcert.forms import (
 )
 from wittcert.involutions import (
     InvolutionAlgebra,
+    QuaternionAlg,
     degree_index,
     involution_discriminant,
     is_split,
@@ -53,6 +55,43 @@ class TestSplitting:
             w = witt_decompose(nf)[0]
             assert is_split(q) == is_hyperbolic(nf) == (w == 2)
             assert w in (0, 2)  # Pfister forms are hyperbolic once isotropic
+
+
+class TestClosedForms:
+    """The theorems `involutions` decides by, against the walks they
+    replaced (`tests/oracles.py`)."""
+
+    BOX = [x for x in range(-60, 61) if x]
+
+    def test_norm_test_splits_as_the_norm_form_is_isotropic(self):
+        # Every (a, b) with 0 < |a|, |b| <= 60, squares and entries that are
+        # not square-free included.
+        for a in self.BOX:
+            for b in self.BOX:
+                q = QuaternionAlg(a, b)
+                assert is_split(q) == is_split_by_walk(q), q
+
+    def test_real_sign_decides_delta_as_its_hyperbolicity(self):
+        # <d> and <1, -d> both have discriminant d: odd and even phi over
+        # every triple (a, b, d) with 0 < |a|, |b|, |d| <= 10.
+        small = [x for x in self.BOX if abs(x) <= 10]
+        undefined = 0
+        for a in small:
+            for b in small:
+                q = QuaternionAlg(a, b)
+                division = not is_split_by_walk(q)
+                for d in small:
+                    for phi in (qform([d]), qform([1, -d])):
+                        alg = InvolutionAlgebra(phi, q)
+                        if phi.dim % 2 and division:
+                            with pytest.raises(DomainError, match="^discriminant undefined"):
+                                involution_discriminant(alg)
+                            undefined += 1
+                            continue
+                        delta, trivial = involution_discriminant(alg)
+                        assert delta == pfister([a, b, d])
+                        assert trivial == delta_trivial_by_walk(alg), (phi, q)
+        assert undefined
 
 
 class TestDegreeIndex:

@@ -6,7 +6,8 @@ module's syntax tree and fails on any import or mention of the encoding's
 private names.  `forms` also reads the real place from the walk like any
 other completion, so it names neither the real place nor a symbol.  The
 walk factors nothing: `localfields` names no factoring function, and its
-callers pass the primes."""
+callers pass the primes.  The algebra layer decides by theorem:
+`involutions` names no walk and no decision built on one."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,9 @@ def test_localfields_factors_nothing():
     names = names_used(ast.parse((PACKAGE / "localfields.py").read_text()))
     assert not names & {"factorize", "prime_support", "_factorize_rat", "_squarefree_part",
                         "squarefree_rep"}
+
+
+def test_involutions_walks_nothing():
+    names = names_used(ast.parse((PACKAGE / "involutions.py").read_text()))
+    assert not names & {"is_isotropic", "is_hyperbolic", "witt_decompose", "completions",
+                        "form_class_at"}

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from oracles import verify_certificate_by_parts
+from oracles import prop_index_check, verify_certificate_by_parts
 from wittcert import arith, similitude
 from wittcert.arith import DomainError, _squarefree_part, is_prime, squarefree_rep
 from wittcert.extensions import (
@@ -36,7 +36,6 @@ from wittcert.similitude import (
     candidate_classes,
     lemma24_certificate,
     lemma_beta_search,
-    prop_index_check,
     thm4_decompose,
     thm6_pipeline,
     verify_certificate,

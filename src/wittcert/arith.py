@@ -3,23 +3,48 @@
 Everything downstream works with square classes: nonzero square-free
 integers representing elements of Q*/Q*^2.  This module provides the
 canonicalisation (`squarefree_rep`), p-adic valuations and prime support,
-backed by exact integer factorization below 3.3 * 10^24 (trial division,
-then Miller-Rabin / Pollard-Brent for large cofactors).
+backed by exact integer factorization below 3.3 * 10^24: trial division by
+the integers prime to 30 up to 10^5, then Miller-Rabin on as many bases as
+the size of the number needs, and Pollard-Brent for composite cofactors.
+A number with no prime factor up to 10^5 and below (10^5 + 1)^2 is prime
+without a test.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, isqrt
 
 Rat = int | Fraction
 
 _TRIAL_BOUND = 100_000
+# A number with no prime factor up to _TRIAL_BOUND is prime below this.
+_TRIAL_PROVEN = (_TRIAL_BOUND + 1) ** 2
+# The gaps between consecutive integers prime to 30, starting from 7.
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 # Miller-Rabin witnesses, deterministic below _EXACT_LIMIT, the least strong
 # pseudoprime to all of them (OEIS A014233); larger numbers are refused.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
+# A014233 a(1)..a(12): the least strong pseudoprime to the first k bases
+# (Jaeschke 1993; Sorenson and Webster 2017).  Below a(k) the first k bases
+# decide primality exactly.
+_MR_THRESHOLDS = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+)
 
 
 class DomainError(ValueError):
@@ -38,6 +63,12 @@ def _check_exact(n: int) -> None:
 
 
 def _is_probable_prime(n: int) -> bool:
+    """Whether n passes Miller-Rabin; exact for n < _EXACT_LIMIT.
+
+    n runs against the first k of `_MR_BASES`, k the least index with
+    n < a(k) in `_MR_THRESHOLDS`: one base below 2,047, two below 1,373,653,
+    and all thirteen from a(12) on, at and beyond the limit too.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -47,7 +78,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_THRESHOLDS, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -67,9 +98,8 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    """Find a nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
+    """Find a nontrivial factor of composite n.  `factorize` calls it only on
+    cofactors with no prime factor up to _TRIAL_BOUND, so n is odd."""
     seed = 1
     while True:
         seed += 1
@@ -98,39 +128,58 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
+def _divide_out(out: dict[int, int], m: int, p: int) -> int:
+    """m stripped of the prime p, which divides it; records p's exponent."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    out[p] = e
+    return m
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; n must be nonzero
     and |n| < _EXACT_LIMIT (else `LimitExceeded`).
 
-    Trial division up to _TRIAL_BOUND, then Miller-Rabin / Pollard-Brent for
-    any remaining cofactor.
+    Trial division by 2, 3, 5 and the integers prime to 30 up to
+    min(isqrt(m), _TRIAL_BOUND), where m is what is left to factor.  A
+    cofactor below _TRIAL_PROVEN is then prime; a larger one goes to
+    Miller-Rabin, and Pollard-Brent splits the composite ones.
     """
     if n == 0:
         raise DomainError("cannot factor 0")
     _check_exact(n)
-    n = abs(n)
+    m = abs(n)
     out: dict[int, int] = {}
-    m = n
     for p in (2, 3, 5):
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
+        if m % p == 0:
+            m = _divide_out(out, m, p)
+    limit = min(isqrt(m), _TRIAL_BOUND)
     p = 7
-    step = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p * p <= m and p <= _TRIAL_BOUND:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += step[i]
-        i = (i + 1) % 8
-    # Large cofactor: Miller-Rabin, exact below the limit, and Pollard-Brent.
+    # Whole turns of the wheel while the last candidate, p + 24, is in
+    # range: one remainder and one addition per candidate.  A division
+    # lowers the limit to isqrt(m), and a candidate past it divides m only
+    # when it is m itself, a prime.
+    while p + 24 <= limit:
+        for step in _WHEEL:
+            if m % p == 0:
+                m = _divide_out(out, m, p)
+                limit = min(isqrt(m), _TRIAL_BOUND)
+            p += step
+    for step in _WHEEL:
+        if p > limit:
+            break
+        if m % p == 0:
+            m = _divide_out(out, m, p)
+            limit = min(isqrt(m), _TRIAL_BOUND)
+        p += step
+    # Trial division reached isqrt(m) or _TRIAL_BOUND, so m, and every
+    # factor of m that Pollard-Brent splits off, is prime below _TRIAL_PROVEN.
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
+        if m < _TRIAL_PROVEN or _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_brent(m)

@@ -45,6 +45,20 @@ def perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
+def factorize_by_trial_division(n: int) -> dict[int, int]:
+    """{prime: exponent} of |n| by dividing by every integer d >= 2 while
+    d^2 is at most what is left: no wheel, no bound, no primality test."""
+    m, out, d = abs(n), {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
 def isotropic_witness(entries, heights=(12, 60, 200)):
     """A nonzero integer vector x with sum c_i x_i^2 = 0, searching coordinate
     boxes of escalating height (signs are irrelevant), or None."""

@@ -2,11 +2,15 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 from math import prod
 
-from wittcert import codecs
+from oracles import factorize_by_trial_division
+from wittcert import arith, codecs
 from wittcert.arith import (
     _EXACT_LIMIT,
+    _MR_BASES,
+    _TRIAL_BOUND,
     DomainError,
     LimitExceeded,
     _is_probable_prime,
@@ -157,11 +161,112 @@ class TestFactorize:
         fac = factorize(p * q)
         assert fac == {p: 1, q: 1}
 
+    # 31 and 37 close one turn of the wheel and open the next; 99,991 is the
+    # last prime below the trial bound, 100,003 and 100,019 the first above.
+    EDGE_PRIMES = (7, 11, 13, 31, 37, 997, 1009, 99_991, 100_003, 100_019)
+
+    @pytest.mark.parametrize("p", EDGE_PRIMES)
+    def test_against_trial_division_at_the_edges(self, p):
+        assert _TRIAL_BOUND == 100_000
+        cases = [p, -p, p ** 2, p ** 3, 30 * p ** 2]
+        cases += [p * q for q in self.EDGE_PRIMES if q >= p]
+        for n in cases:
+            assert factorize(n) == factorize_by_trial_division(n), n
+
+    @pytest.mark.parametrize("n", [1, -1, 49, 77, 121, 169, -169, 7 * 11 * 13 * 17])
+    def test_wheel_composites(self, n):
+        # Integers prime to 30 that the wheel visits but that are not prime.
+        assert factorize(n) == factorize_by_trial_division(n)
+
+    def test_against_trial_division_below_20000(self):
+        for n in range(1, 20_000):
+            assert factorize(n) == factorize_by_trial_division(n), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10 ** 18, 10 ** 18).filter(bool))
+    def test_product_of_prime_powers(self, n):
+        fac = factorize(n)
+        assert prod(p ** e for p, e in fac.items()) == abs(n)
+        assert all(e > 0 and is_strong_probable_prime(p, _ALL_BASES) for p, e in fac.items())
+
+
+class TestFactorizeWork:
+    """Which routes a factorization takes: a cofactor below
+    (_TRIAL_BOUND + 1)^2 left by trial division is prime without a test, and
+    Pollard-Brent runs only on a composite cofactor."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"_is_probable_prime": 0, "_pollard_brent": 0}
+        for name in counts:
+            inner = getattr(arith, name)
+
+            def counted(n, name=name, inner=inner):
+                counts[name] += 1
+                return inner(n)
+            monkeypatch.setattr(arith, name, counted)
+        return counts
+
+    def test_a_prime_cofactor_needs_no_miller_rabin(self, calls):
+        assert factorize(30 * 300_007) == {2: 1, 3: 1, 5: 1, 300_007: 1}
+        assert calls == {"_is_probable_prime": 0, "_pollard_brent": 0}
+
+    def test_two_primes_above_the_bound_split_once(self, calls):
+        assert factorize(100_003 * 100_019) == {100_003: 1, 100_019: 1}
+        assert calls == {"_is_probable_prime": 1, "_pollard_brent": 1}
+
+
+def is_strong_probable_prime(n: int, bases) -> bool:
+    """Whether n > 1 passes the strong test to every prime base, with
+    n - 1 = d 2^s; a base that divides n passes only when it is n."""
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+_ALL_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# OEIS A014233 a(1)..a(12): the least odd composite that is a strong
+# pseudoprime to each of the first k prime bases.
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461)
+
+
+def sieve(n: int) -> list[bool]:
+    flags = [False, False] + [True] * (n - 2)
+    for p in range(2, int(n ** 0.5) + 1):
+        if flags[p]:
+            flags[p * p::p] = [False] * len(range(p * p, n, p))
+    return flags
+
 
 class TestIsPrime:
     def test_matches_trial_division(self):
         small = [n for n in range(2, 500) if all(n % d for d in range(2, n))]
         assert [n for n in range(500) if is_prime(n)] == small
+
+    def test_matches_a_sieve_below_two_million(self):
+        # Covers every n below a(2) = 1,373,653, where one and two bases run.
+        flags = sieve(2_000_000)
+        assert [is_prime(n) for n in range(2_000_000)] == flags
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_each_threshold_is_caught(self, k):
+        # a(k) fools the first k bases and not all thirteen, so it is
+        # composite, and at n = a(k) more than k bases must run.
+        n = A014233[k - 1]
+        assert _MR_BASES == _ALL_BASES
+        assert is_strong_probable_prime(n, _ALL_BASES[:k])
+        assert not is_strong_probable_prime(n, _ALL_BASES)
+        assert not is_prime(n)
 
     def test_strong_pseudoprime_to_bases_up_to_37(self):
         # The least strong pseudoprime to every prime base up to 37 (OEIS

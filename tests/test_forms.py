@@ -1,6 +1,8 @@
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import check_witness, isotropic_witness, oracle_witt_index
 from wittcert.arith import DomainError, squarefree_rep
@@ -303,3 +305,60 @@ def test_witt_equivalent_padding():
     assert witt_equivalent(HYPERBOLIC_PLANE, QForm(()))
     assert witt_equivalent(qform([3]), orth_sum(qform([3]), HYPERBOLIC_PLANE))
     assert not witt_equivalent(qform([3]), qform([5, 1, -1]))
+
+
+# Entries whose prime factors lie above the trial-division bound (10^5), so
+# that the decisions below rest on Pollard-Brent and Miller-Rabin as well as
+# on trial division.
+LARGE_PRIMES = [p for p in range(100_003, 100_400, 2)
+                if all(p % d for d in range(3, int(p ** 0.5) + 1, 2))]
+SMALL_CLASSES = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
+
+
+def large_entries(max_large: int):
+    """Square-free integers: a sign, a small class and up to `max_large`
+    distinct primes above 10^5."""
+    return st.builds(lambda sign, small, large: sign * small * prod(large),
+                     st.sampled_from((-1, 1)), st.sampled_from(SMALL_CLASSES),
+                     st.sets(st.sampled_from(LARGE_PRIMES), max_size=max_large))
+
+
+class TestDecisionProperties:
+    """`is_isotropic`, `witt_decompose` and `is_isometric` on forms with
+    large prime entries: invariance under permuting the entries and under
+    scaling by a square class, and Witt cancellation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(large_entries(2), min_size=1, max_size=5), st.randoms(use_true_random=False))
+    def test_permuting_the_entries(self, entries, rnd):
+        shuffled = list(entries)
+        rnd.shuffle(shuffled)
+        phi, psi = qform(entries), qform(shuffled)
+        assert is_isotropic(psi) == is_isotropic(phi)
+        assert witt_decompose(psi) == witt_decompose(phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(large_entries(2), min_size=1, max_size=5), large_entries(1))
+    def test_scaling_by_a_square_class(self, entries, k):
+        phi = qform(entries)
+        scaled = scale(k, phi)
+        assert is_isotropic(scaled) == is_isotropic(phi)
+        assert witt_decompose(scaled)[:2] == witt_decompose(phi)[:2]
+        assert scale(k, scaled) == phi
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(large_entries(1), min_size=1, max_size=3),
+           st.tuples(large_entries(1), large_entries(1)), st.booleans(), large_entries(1))
+    def test_witt_cancellation(self, phi_entries, ab, isometric, t):
+        """phi + psi = phi + psi' iff psi = psi'.  psi' is either <a + b,
+        ab(a + b)>, isometric to psi = <a, b> when a + b != 0, or psi with one
+        entry scaled by t, which may or may not be isometric to it."""
+        a, b = ab
+        psi = qform([a, b])
+        if isometric and a + b:
+            psi2 = qform([a + b, a * b * (a + b)])
+            assert is_isometric(psi, psi2)
+        else:
+            psi2 = qform([a * t, b])
+        phi = qform(phi_entries)
+        assert is_isometric(orth_sum(phi, psi), orth_sum(phi, psi2)) == is_isometric(psi, psi2)

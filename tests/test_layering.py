@@ -7,14 +7,17 @@ private names.  `forms` also reads the real place from the walk like any
 other completion, so it names neither the real place nor a symbol.  The
 walk factors nothing: `localfields` names no factoring function, and its
 callers pass the primes.  The algebra layer decides by theorem:
-`involutions` names no walk and no decision built on one."""
+`involutions` names no walk and no decision built on one.  A `Place` is
+built only through its checked constructor, which tests primality."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import wittcert
+from wittcert.localfields import Place
 
 ENCODING = {"_class_index", "_class_histogram", "_histogram_class", "_symbol_table",
             "_TAME_TABLES", "_SERRE_TABLE"}
@@ -68,3 +71,19 @@ def test_involutions_walks_nothing():
     names = names_used(ast.parse((PACKAGE / "involutions.py").read_text()))
     assert not names & {"is_isotropic", "is_hyperbolic", "witt_decompose", "completions",
                         "form_class_at"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_places_are_built_by_the_checked_constructor(path):
+    """No `object.__new__(Place)` or `Place.__new__` skips `__post_init__`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "__new__":
+            args = [a.id for a in node.args if isinstance(a, ast.Name)]
+            owner = node.func.value
+            assert "Place" not in args and not (isinstance(owner, ast.Name)
+                                                and owner.id == "Place"), path.name
+
+
+def test_place_takes_no_known_prime_flag():
+    assert [f.name for f in dataclasses.fields(Place)] == ["p"]

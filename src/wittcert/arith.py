@@ -271,11 +271,3 @@ def prime_support(items) -> set[int]:
             continue
         out |= set(_factorize_rat(x))
     return out
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for odd prime p and a prime to p."""
-    a %= p
-    if a == 0:
-        raise DomainError("legendre of 0")
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, Rat, _class_product, _is_rational_square, _squarefree_part, squarefree_rep
+from .arith import DomainError, Rat, _class_product, _squarefree_part, squarefree_rep
 from .localfields import (
     LocalField,
     _symbol_split_at,
@@ -93,8 +93,13 @@ TRIVIAL_TOWER = ExtensionTower(())
 
 def aniso_dim_over(phi: QForm, M: ExtensionTower) -> int:
     """Dimension of the anisotropic kernel of phi over M: `_aniso_dim_from`
-    its `hyperbolicity_evidence`."""
-    return _aniso_dim_from(phi, M, hyperbolicity_evidence(phi, M))
+    its `hyperbolicity_evidence`.  The Kummer bound reads M's generators as
+    square classes, so a generator that is not a square-free integer (as
+    `make_tower` makes them) is refused."""
+    parts = [_squarefree_part(g) for g in M.generators]
+    if any(c != g for g, (c, _) in zip(M.generators, parts)):
+        raise DomainError(f"tower generators must be square-free integers: {M.generators}")
+    return _aniso_dim_from(phi, M, hyperbolicity_evidence(phi, M, [primes for _, primes in parts]))
 
 
 def _aniso_dim_from(phi: QForm, M: ExtensionTower, evidence) -> int:
@@ -102,20 +107,13 @@ def _aniso_dim_from(phi: QForm, M: ExtensionTower, evidence) -> int:
     the maximum of the local anisotropic dimensions and the global Kummer
     discriminant bound.  An even-dimensional form whose discriminant is not
     a square in M has anisotropic dimension at least 2, and such a failure
-    can hide at places outside the prime support."""
+    can hide at places outside the prime support.  By Kummer theory it is a
+    square in M iff its square class lies in M's subgroup; both are
+    square-free integers, so membership is equality of classes."""
     lower = phi.dim % 2
-    if lower == 0 and not disc_in_tower(forms.disc(phi), M):
+    if lower == 0 and forms.disc(phi) not in M.subgroup():
         lower = 2
     return max(lower, *(ev.aniso_dim for ev in evidence))
-
-
-def disc_in_tower(d: Rat, M: ExtensionTower) -> bool:
-    """Kummer: a nonzero rational is a square in M iff its square class lies
-    in the subgroup generated by the tower generators, i.e. iff d*s is a
-    rational square for some s in that subgroup (no factoring)."""
-    if d == 0:
-        raise DomainError("square class of 0")
-    return any(_is_rational_square(d * s) for s in M.subgroup())
 
 
 def witt_index_over(phi: QForm, M: ExtensionTower) -> int:

@@ -246,20 +246,22 @@ def lemma24_certificate(pi: QForm, psi: QForm, c: Rat,
     c_sf, primes = _squarefree_part(c)
     if c_sf < 0 and not hyperbolic:
         raise DomainError(f"{c} is not a similarity factor of pi (x) psi")
-    return _certify_in_I4(phi, c, c_sf, primes, bound)
+    return _certify_in_I4(phi, hyperbolic, c, c_sf, primes, bound)
 
 
-def _certify_in_I4(phi: QForm, c: Rat, c_sf: int, primes, bound: int) -> HypCertificate:
+def _certify_in_I4(phi: QForm, hyperbolic: bool, c: Rat, c_sf: int, primes,
+                   bound: int) -> HypCertificate:
     """The certificate of `lemma24_certificate` for a form phi = pi (x) psi
     in I^4 and a similarity factor c of it, of square class c_sf with the
     given primes; both verdicts are already read off the signature by the
-    caller, and c is not factored again.  The tower is trivial when phi has
-    signature 0, else Q(sqrt d) for the first negative candidate d within
-    the bound with c a norm, else Q(sqrt -c); a square-free d != 1 is its
-    own canonical tower, and its primes come with it, so no candidate is
-    factored.  The certificate is checked against every verifier condition
-    on its own evidence before it is returned."""
-    if signature(phi) == 0:
+    caller, which passes whether phi is hyperbolic, and c is not factored
+    again.  The tower is trivial when phi is hyperbolic, else Q(sqrt d) for
+    the first negative candidate d within the bound with c a norm, else
+    Q(sqrt -c); a square-free d != 1 is its own canonical tower, and its
+    primes come with it, so no candidate is factored.  The certificate is
+    checked against every verifier condition on its own evidence before it
+    is returned."""
+    if hyperbolic:
         return _certificate(phi, TRIVIAL_TOWER, (), c, c_sf, primes)
     for d, d_primes in candidate_classes(phi.support.union(primes), bound):
         if d < 0 and _norm_member(c_sf, primes, d, d_primes):
@@ -374,14 +376,20 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
     certificate per multiplier.
 
     Checks, in order: degree 12, index <= 2, trivial involution discriminant,
-    psi = phi (x) <<a,b>> in I^4.  A failing check halts the pipeline and is
-    recorded in the report (not raised).  psi is the form pi (x) phi of
-    `lemma24_certificate` up to the order of its entries, hyperbolic at
-    every prime, so psi in I^4 and each c in G(psi) are read off its
-    signature (`_tensor_hypotheses`), and each multiplier is factored once
-    for its status and its certificate, which is checked against every
-    verifier condition on its own evidence.  When no multipliers are supplied,
-    ten square classes represented by the norm form are sampled.  The bound
+    psi = phi (x) <<a,b>> in I^4.  A nontrivial discriminant halts the
+    pipeline and is recorded in the report (not raised).  psi is the form
+    pi (x) phi of `lemma24_certificate` up to the order of its entries,
+    hyperbolic at every prime, so psi in I^4 and each c in G(psi) are read
+    off its signature (`_tensor_hypotheses`): psi is in I^4 iff 16 divides
+    sig psi = sig phi * sig <<a,b>>.  A trivial discriminant <<a, b, disc
+    phi>> forces this: sig <<a,b>> is 0 unless a, b < 0, when it is 4 and
+    disc phi > 0, so phi has an odd number of negative entries among its
+    six and sig phi is 0 or +-4.  The psi-in-I4 check stays in the report
+    as a guard, like the Arason-Pfister guard: its failure raises
+    `InvariantViolation`.  Each multiplier is factored once for its status
+    and its certificate, which is checked against every verifier condition
+    on its own evidence.  When no multipliers are supplied, ten square
+    classes represented by the norm form are sampled.  The bound
     must be at least 1; it caps only the cost of each certificate search,
     since every similarity factor certifies.
     """
@@ -408,8 +416,7 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
     in_i4, hyperbolic = _tensor_hypotheses(psi)
     report.checks.append(("psi-in-I4", in_i4, f"dim psi = {psi.dim}"))
     if not in_i4:
-        report.halted_at = "psi-in-I4"
-        return report
+        raise InvariantViolation(f"psi-in-I4 violation: Delta is trivial but {psi} is not in I^4")
 
     if multipliers is None:
         multipliers = _norm_values(q, 10, seed)
@@ -418,7 +425,7 @@ def thm6_pipeline(phi6: QForm, q: QuaternionAlg, multipliers=None,
         if c_sf < 0 and not hyperbolic:
             report.multipliers.append(MultiplierResult(c_sf, "not-in-G"))
             continue
-        cert = _certify_in_I4(psi, c, c_sf, primes, bound)
+        cert = _certify_in_I4(psi, hyperbolic, c, c_sf, primes, bound)
         report.multipliers.append(MultiplierResult(c_sf, "certificate", cert))
     return report
 

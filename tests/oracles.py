@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, count
-from math import isqrt
+from math import gcd, isqrt
 
-from wittcert.arith import _class_product, _valuation_unit, legendre, prime_support, squarefree_rep
+from wittcert.arith import prime_support, squarefree_rep
 from wittcert.extensions import (
     TRIVIAL_TOWER,
     hyperbolicity_evidence,
@@ -509,7 +509,33 @@ def lemma24_by_search(pi, psi, c, bound):
 
 # ----------------------------------------------------------------------
 # Local invariants symbol by symbol, as the engine computed them before
-# its class-pair kernel.
+# its class-pair kernel.  The valuations, the Legendre symbols and the
+# products of square classes are computed here, not borrowed from the
+# engine, so that a fault in its helpers cannot pass both sides.
+
+
+def valuation_and_unit(p: int, r: Fraction) -> tuple[int, int]:
+    """(v, u) with r = p^v * u / (square of a unit prime to p): v counts p
+    in the numerator less p in the denominator, and u is the product of
+    their parts prime to p."""
+    num, den, v = r.numerator, r.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v, num * den
+
+
+def euler_criterion(a: int, p: int) -> int:
+    """The Legendre symbol (a|p) for an odd prime p not dividing a."""
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def class_times(a: int, b: int) -> int:
+    """The square class of a*b for square-free a and b: their common
+    factor g is squared in a*b."""
+    g = gcd(a, b)
+    return (a // g) * (b // g)
 
 
 def hilbert_symbol_closed_form(a, b, E) -> int:
@@ -522,8 +548,8 @@ def hilbert_symbol_closed_form(a, b, E) -> int:
     if E.is_real:
         return -1 if a < 0 and b < 0 else 1
     p = E.base.p
-    alpha, u = _valuation_unit(p, Fraction(a))
-    beta, w = _valuation_unit(p, Fraction(b))
+    alpha, u = valuation_and_unit(p, Fraction(a))
+    beta, w = valuation_and_unit(p, Fraction(b))
     alpha, beta = alpha % 2, beta % 2
     if p == 2:
         u, w = u % 8, w % 8
@@ -533,7 +559,7 @@ def hilbert_symbol_closed_form(a, b, E) -> int:
         return -1 if t % 2 else 1
     if not (alpha or beta):
         return 1
-    return legendre((-1) ** (alpha * beta) * u ** beta * w ** alpha, p)
+    return euler_criterion((-1) ** (alpha * beta) * u ** beta * w ** alpha, p)
 
 
 def form_class_by_symbols(entries, E) -> LocalFormClass:
@@ -552,7 +578,7 @@ def form_class_by_symbols(entries, E) -> LocalFormClass:
     prefix = entries[0] if n else 1
     for a in entries[1:]:
         h *= hilbert_symbol_closed_form(prefix, a, E)
-        prefix = _class_product(prefix, a)
+        prefix = class_times(prefix, a)
     return LocalFormClass(n, local_square_class(sign * prefix, E), h, None)
 
 

@@ -16,7 +16,6 @@ from wittcert.arith import (
     _is_probable_prime,
     factorize,
     is_prime,
-    legendre,
     padic_valuation,
     prime_support,
     squarefree_rep,
@@ -304,10 +303,3 @@ class TestExactnessLimit:
     def test_one_error_class(self):
         assert codecs.LimitExceeded is LimitExceeded
         assert issubclass(LimitExceeded, DomainError)
-
-
-def test_legendre_matches_residue_scan():
-    for p in (3, 5, 7, 11, 13):
-        residues = {x * x % p for x in range(1, p)}
-        for a in range(1, p):
-            assert legendre(a, p) == (1 if a in residues else -1)

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -53,6 +55,10 @@ class TestMakeTower:
     def test_canonical_order(self):
         assert make_tower([7, -2]).generators == (-2, 7)
         assert make_tower([-3, 3]).generators == (3, -3)
+
+    def test_str(self):
+        assert str(TRIVIAL_TOWER) == "Q"
+        assert str(make_tower([-3, 2])) == "Q(sqrt 2, sqrt -3)"
 
 
 def fiber(v, gens):
@@ -176,6 +182,36 @@ class TestWittIndexOver:
                          for _ in range(rng.randint(2, 5))])
             M = random_tower(rng)
             assert witt_index_over(phi, M) >= witt_decompose(phi)[0], (phi, M)
+
+    @pytest.mark.parametrize("entries, gens, aniso", [
+        ([1, 1], [], 2), ([1, 1], [-1], 0), ([1, 1], [-2], 2),
+        ([1, -6], [2], 2), ([1, -6], [2, 3], 0), ([1, -6], [-2, -3], 0),
+        ([1, 1, 1, -6], [3], 2), ([1, 1, 1, -6], [2, -3], 0),
+    ])
+    def test_discriminant_square_only_in_the_tower(self, entries, gens, aniso):
+        # disc <1, 1> = -1, disc <1, -6> = 6 and disc <1, 1, 1, -6> = -6: a
+        # square in the tower exactly when a product of its generators is.
+        assert aniso_dim_over(qform(entries), make_tower(gens)) == aniso
+
+    @pytest.mark.parametrize("gens", [(12,), (4,), (2, 12), (Fraction(1, 3),)])
+    def test_non_canonical_tower_refused(self, gens):
+        # Over Q(sqrt 12) = Q(sqrt 3) the plane <1, -3> is hyperbolic, but
+        # only canonical generators make the Kummer bound a membership test.
+        with pytest.raises(DomainError):
+            aniso_dim_over(qform([1, -3]), ExtensionTower(gens))
+
+    def test_kummer_bound_on_planes(self):
+        # <1, -d> is hyperbolic over M iff d is a square in M, i.e. iff d
+        # times a product of generators is a rational square.
+        rng = random.Random(62)
+        for _ in range(80):
+            d = squarefree_rep(rng.choice([-1, 1]) * rng.randint(2, 40))
+            M = random_tower(rng)
+            products = [1]
+            for g in M.generators:
+                products += [g * s for s in products]
+            square = any(s * d > 0 and isqrt(s * d) ** 2 == s * d for s in products)
+            assert aniso_dim_over(qform([1, -d]), M) == (0 if square else 2), (d, M)
 
     def test_aniso_parity(self):
         rng = random.Random(57)

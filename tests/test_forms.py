@@ -27,6 +27,7 @@ from wittcert.forms import (
     tensor,
     witt_decompose,
     witt_equivalent,
+    witt_index,
 )
 from wittcert.localfields import Place, REAL
 
@@ -135,6 +136,11 @@ class TestWittDecomposition:
             phi = random_form(rng, rng.randint(2, 6))
             _, _, cls = witt_decompose(phi)
             assert len(cls.hasse_minus_places) % 2 == 0
+
+    def test_witt_index(self):
+        assert witt_index(qform([1, 1, 1, -1, -1])) == 2
+        assert witt_index(qform([1, 1, 1, 1])) == 0
+        assert witt_index(tensor(pfister([-1, -1]), qform([1, -1]))) == 4
 
     def test_zero_dim_is_hyperbolic(self):
         empty = QForm(())
@@ -324,9 +330,9 @@ def large_entries(max_large: int):
 
 
 class TestDecisionProperties:
-    """`is_isotropic`, `witt_decompose` and `is_isometric` on forms with
-    large prime entries: invariance under permuting the entries and under
-    scaling by a square class, and Witt cancellation."""
+    """`is_isotropic`, `witt_decompose`, `in_In` and `is_isometric` on forms
+    with large prime entries: invariance under permuting the entries and
+    under scaling by a square class, and Witt cancellation."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(large_entries(2), min_size=1, max_size=5), st.randoms(use_true_random=False))
@@ -336,6 +342,7 @@ class TestDecisionProperties:
         phi, psi = qform(entries), qform(shuffled)
         assert is_isotropic(psi) == is_isotropic(phi)
         assert witt_decompose(psi) == witt_decompose(phi)
+        assert [in_In(psi, n) for n in (1, 2, 3, 4)] == [in_In(phi, n) for n in (1, 2, 3, 4)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(large_entries(2), min_size=1, max_size=5), large_entries(1))
@@ -362,3 +369,34 @@ class TestDecisionProperties:
             psi2 = qform([a * t, b])
         phi = qform(phi_entries)
         assert is_isometric(orth_sum(phi, psi), orth_sum(phi, psi2)) == is_isometric(psi, psi2)
+
+
+class TestFundamentalIdealProperties:
+    """`in_In` on forms with large prime entries: the filtration
+    I^4 < I^3 < I^2 < I^1, n-fold Pfister forms in I^n, and phi + (-phi)
+    in I^4."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(large_entries(1), st.lists(large_entries(1), min_size=1, max_size=4)),
+                    min_size=1, max_size=2))
+    def test_filtration(self, terms):
+        # A sum of scaled Pfister forms lies in I^n for its fewest slots n,
+        # so that every power is reached as well as refused.
+        phi = QForm(())
+        for k, slots in terms:
+            phi = orth_sum(phi, scale(k, pfister(slots)))
+        member = [in_In(phi, n) for n in (1, 2, 3, 4)]
+        assert member == sorted(member, reverse=True), member
+        assert member[min(len(slots) for _, slots in terms) - 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(large_entries(1), min_size=1, max_size=4))
+    def test_pfister_forms(self, slots):
+        phi = pfister(slots)
+        assert all(in_In(phi, n) for n in range(1, len(slots) + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(large_entries(2), min_size=1, max_size=6))
+    def test_phi_plus_minus_phi(self, entries):
+        phi = qform(entries)
+        assert in_In(orth_sum(phi, scale(-1, phi)), 4)

@@ -8,7 +8,9 @@ other completion, so it names neither the real place nor a symbol.  The
 walk factors nothing: `localfields` names no factoring function, and its
 callers pass the primes.  The algebra layer decides by theorem:
 `involutions` names no walk and no decision built on one.  A `Place` is
-built only through its checked constructor, which tests primality."""
+built only through its checked constructor, which tests primality.  The
+test oracles borrow no private arithmetic from the engine, so that a fault
+in it cannot pass engine and oracle alike."""
 
 import ast
 import dataclasses
@@ -87,3 +89,15 @@ def test_places_are_built_by_the_checked_constructor(path):
 
 def test_place_takes_no_known_prime_flag():
     assert [f.name for f in dataclasses.fields(Place)] == ["p"]
+
+
+@pytest.mark.parametrize("name", ["oracles.py", "dyadic_oracle.py"])
+def test_oracles_borrow_no_private_arithmetic(name):
+    tree = ast.parse((Path(__file__).parent / name).read_text())
+    borrowed = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "wittcert.arith"
+                for alias in node.names}
+    borrowed |= {node.attr for node in ast.walk(tree)  # arith.name after `from wittcert import arith`
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "arith"}
+    assert not {n for n in borrowed if n.startswith("_") or n == "legendre"}, name

@@ -361,3 +361,7 @@ def test_concurrent_calls_match_sequential():
         got = list(pool.map(lambda t: hilbert_symbol(*t),
                             [(a, b, E) for a, b in pairs for E in fields]))
     assert got == expected
+
+
+def test_archimedean_completions_print_as_r_and_c():
+    assert (str(R), str(C)) == ("R", "C")

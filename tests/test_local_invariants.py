@@ -4,13 +4,22 @@ classes, the prime support a form carries, the Arason-Pfister guard's I^4
 test, and the sizes of the integers the engine factorizes."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import class_number, form_class_by_symbols, hilbert_symbol_closed_form, least_member
+from oracles import (
+    class_number,
+    class_times,
+    euler_criterion,
+    form_class_by_symbols,
+    hilbert_symbol_closed_form,
+    least_member,
+    valuation_and_unit,
+)
 from wittcert import arith, codecs, forms
-from wittcert.arith import _class_product, is_prime, prime_support, squarefree_rep
+from wittcert.arith import _class_product, is_prime, padic_valuation, prime_support, squarefree_rep
 from wittcert.extensions import aniso_dim_over, make_tower
 from wittcert.forms import (
     QForm,
@@ -171,6 +180,32 @@ class TestClassProduct:
     @given(nonzero, nonzero)
     def test_any_operands_keep_the_class(self, a, b):
         assert squarefree_rep(_class_product(a, b)) == squarefree_rep(a * b)
+
+
+class TestOracleArithmetic:
+    """The symbol oracle's own valuations, Legendre symbols and class
+    products, checked against their definitions; the valuation also
+    against `padic_valuation`."""
+
+    def test_legendre_matches_residue_scan(self):
+        for p in (3, 5, 7, 11, 13):
+            residues = {x * x % p for x in range(1, p)}
+            for a in range(-2 * p, 2 * p):
+                if a % p:
+                    assert euler_criterion(a, p) == (1 if a % p in residues else -1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonzero, st.integers(1, 10**4), st.sampled_from((2, 3, 5, 1000003)))
+    def test_valuation_and_unit(self, num, den, p):
+        r = Fraction(num, den)
+        v, u = valuation_and_unit(p, r)
+        assert u % p and squarefree_rep(u * Fraction(p) ** v / r) == 1
+        assert v == padic_valuation(p, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(squarefree, squarefree)
+    def test_class_times(self, a, b):
+        assert class_times(a, b) == squarefree_rep(a * b)
 
 
 def descriptor(draw_leaf, depth):

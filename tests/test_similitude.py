@@ -19,6 +19,7 @@ from wittcert.extensions import (
 )
 from wittcert.forms import (
     InvariantViolation,
+    disc,
     in_G,
     in_In,
     is_hyperbolic,
@@ -339,10 +340,7 @@ class TestHypothesesAgreeWithTheGeneralRoute:
             assert rep.halted_at == "delta-trivial"
             return
         checks = {name: ok for name, ok, _ in rep.checks}
-        assert checks["psi-in-I4"] == in_In(rep.psi, 4)
-        if not checks["psi-in-I4"]:
-            assert rep.halted_at == "psi-in-I4" and not rep.multipliers
-            return
+        assert checks["psi-in-I4"] and in_In(rep.psi, 4)
         assert [m.multiplier for m in rep.multipliers] == [squarefree_rep(c) for c in multipliers]
         for m in rep.multipliers:
             assert (m.status == "certificate") == in_G(rep.psi, m.multiplier), m
@@ -350,6 +348,41 @@ class TestHypothesesAgreeWithTheGeneralRoute:
     def test_thm6_multiplier_zero(self):
         with pytest.raises(DomainError, match="squarefree_rep of 0"):
             thm6_pipeline(qform([1, 1, 1, 1, 1, -3]), quaternion(-1, -1), [0])
+
+
+def trivial_delta_instance(rng):
+    """(phi6, Q) with a trivial involution discriminant <<a, b, disc phi6>>:
+    a and b are both negative half the time, and then one entry's sign is
+    flipped when needed to make disc phi6 positive."""
+    a, b = (rng.choice([-1, 1]) * rng.randint(1, 30) for _ in range(2))
+    if rng.random() < 0.5:
+        a, b = -abs(a), -abs(b)
+    entries = [rng.choice([-1, 1]) * rng.randint(1, 50) for _ in range(6)]
+    phi = qform(entries)
+    if a < 0 and b < 0 and disc(phi) < 0:
+        phi = qform([-entries[0]] + entries[1:])
+    return phi, quaternion(a, b)
+
+
+class TestThm6I4Guard:
+    """Once the involution discriminant is trivial, psi = phi (x) <<a, b>>
+    lies in I^4, so the psi-in-I4 check is a guard: it always passes, and
+    its failure raises `InvariantViolation`."""
+
+    def test_a_failing_check_raises(self, monkeypatch):
+        monkeypatch.setattr(similitude, "_tensor_hypotheses", lambda psi: (False, False))
+        with pytest.raises(InvariantViolation, match="psi-in-I4"):
+            thm6_pipeline(WORKED_PHI6, WORKED_Q, [1])
+
+    def test_random_trivial_discriminants_pass(self):
+        rng = random.Random(23)
+        definite = 0
+        for _ in range(3000):
+            phi, q = trivial_delta_instance(rng)
+            rep = thm6_pipeline(phi, q, [])
+            assert rep.hypotheses_passed and rep.checks[-1][:2] == ("psi-in-I4", True), (phi, q)
+            definite += q.a < 0 and q.b < 0
+        assert definite > 1000
 
 
 class TestVerifier:
@@ -379,6 +412,14 @@ class TestVerifier:
                         if not norm_member(c, d))
         bad = replace(cert, multiplier=bad_mult)
         assert not verify_certificate(phi, bad)
+
+    def test_repeated_generator_rejected(self):
+        pi, psi = pfister([-1, -1]), qform([1, 1, 1, 1, 1, -3])
+        phi = tensor(pi, psi)
+        cert = lemma24_certificate(pi, psi, 2)
+        (d,) = cert.tower.generators
+        assert verify_certificate(phi, cert)
+        assert not verify_certificate(phi, replace(cert, tower=ExtensionTower((d, d))))
 
     def test_malformed_certificates_rejected(self):
         phi = qform([1, -1])

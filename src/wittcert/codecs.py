@@ -220,11 +220,13 @@ def dump_evidence(evidence) -> list[dict]:
 
 
 def parse_certificate(obj) -> HypCertificate:
+    """The certificate as stated, its tower never rewritten by `make_tower`
+    (integral generators as `int`); its evidence is advisory and not parsed."""
     if not isinstance(obj, dict) or obj.get("schema") != CERTIFICATE_SCHEMA:
         raise ParseError("certificate payload must carry schema "
                           f"{CERTIFICATE_SCHEMA!r}")
-    tower = make_tower([parse_rat(g) for g in obj["tower"]["generators"]])
-    # Evidence is advisory for verification: conclusions are recomputed.
+    gens = [parse_rat(g) for g in obj["tower"]["generators"]]
+    tower = ExtensionTower(tuple(int(g) if g.denominator == 1 else g for g in gens))
     return HypCertificate(
         multiplier=parse_rat(obj["multiplier"]),
         tower=tower,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .arith import DomainError, Rat, _class_product, _squarefree_part, squarefree_rep
 from .localfields import (
@@ -38,8 +39,9 @@ from .forms import QForm
 
 @dataclass(frozen=True, slots=True)
 class ExtensionTower:
-    """M = Q(sqrt d1[, sqrt d2]) with square-free generators != 1; degree 1,
-    2 or 4.  `downgraded` records that dependent generators were discarded."""
+    """M = Q(sqrt d1[, sqrt d2]), degree 1, 2 or 4, of any generators, since
+    a certificate's tower is verified as stated: `_tower_rule_holds` refuses
+    a malformed one.  `downgraded` records that dependent generators were dropped."""
 
     generators: tuple[int, ...]
     downgraded: bool = False
@@ -87,19 +89,26 @@ def make_tower(ds) -> ExtensionTower:
 TRIVIAL_TOWER = ExtensionTower(())
 
 
+def _tower_rule_holds(gens, gen_primes) -> bool:
+    """At most two distinct generators, each != 1 and the signed product of its distinct primes."""
+    return len(gens) <= 2 and len(set(gens)) == len(gens) and all(
+        d != 1 and _is_class_of(d, primes) for d, primes in zip(gens, gen_primes, strict=True))
+
+
+def _is_class_of(r: Rat, primes) -> bool:
+    """Whether r is the square-free integer with the given distinct primes
+    and r's sign."""
+    return r != 0 and r == (1 if r > 0 else -1) * prod(primes) and len(set(primes)) == len(primes)
+
+
 # ----------------------------------------------------------------------
 # Hyperbolicity and Witt index over M.
 
 
 def aniso_dim_over(phi: QForm, M: ExtensionTower) -> int:
     """Dimension of the anisotropic kernel of phi over M: `_aniso_dim_from`
-    its `hyperbolicity_evidence`.  The Kummer bound reads M's generators as
-    square classes, so a generator that is not a square-free integer (as
-    `make_tower` makes them) is refused."""
-    parts = [_squarefree_part(g) for g in M.generators]
-    if any(c != g for g, (c, _) in zip(M.generators, parts)):
-        raise DomainError(f"tower generators must be square-free integers: {M.generators}")
-    return _aniso_dim_from(phi, M, hyperbolicity_evidence(phi, M, [primes for _, primes in parts]))
+    its `hyperbolicity_evidence`, which refuses a tower outside the rule."""
+    return _aniso_dim_from(phi, M, hyperbolicity_evidence(phi, M))
 
 
 def _aniso_dim_from(phi: QForm, M: ExtensionTower, evidence) -> int:
@@ -143,9 +152,12 @@ def hyperbolicity_evidence(phi: QForm, M: ExtensionTower, gen_primes=None) -> li
     primes of phi and of M's generators, from one local class per
     completion, with the number of places of M above its place (all
     conjugate: M's degree over the completion's).  `gen_primes`, the primes
-    of each generator when the caller holds them, spares their factoring."""
+    of each generator when the caller holds them, spares their factoring.  A
+    tower outside `_tower_rule_holds`, whose degree would be wrong, is refused."""
     if gen_primes is None:
         gen_primes = [_squarefree_part(g)[1] for g in M.generators]
+    if not _tower_rule_holds(M.generators, gen_primes):
+        raise DomainError(f"tower outside the rule: {M.generators}")
     return [PlaceEvidence(E, M.degree // E.degree, local_aniso_dim(form_class_at(phi.entries, E), E))
             for E in completions(phi.support.union(*gen_primes), M.generators)]
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 
 from .arith import DomainError, Rat, _class_product, _is_rational_square, _squarefree_part, squarefree_rep
 from .extensions import (
@@ -29,7 +28,9 @@ from .extensions import (
     PlaceEvidence,
     TRIVIAL_TOWER,
     _aniso_dim_from,
+    _is_class_of,
     _norm_member,
+    _tower_rule_holds,
     hyperbolicity_evidence,
 )
 from .forms import (
@@ -180,6 +181,8 @@ def _certificate(phi: QForm, tower: ExtensionTower, gen_primes, c_original: Rat,
     the multiplier c_original with the primes `c_primes`.  Its evidence is
     built once, and the certificate is checked against every verifier
     condition on that evidence before it is returned; nothing is factored."""
+    if not _tower_rule_holds(tower.generators, gen_primes):
+        raise InvariantViolation(f"search produced a tower outside the rule: {tower}")
     cert = HypCertificate(
         multiplier=c_sf,
         tower=tower,
@@ -270,17 +273,19 @@ def _certify_in_I4(phi: QForm, hyperbolic: bool, c: Rat, c_sf: int, primes,
 
 
 def verify_certificate(phi: QForm, cert: HypCertificate) -> bool:
-    """Independent re-derivation of both certificate conclusions (the engine
-    keeps no cache, so nothing is shared with any search): each generator
-    is factored once, and the multiplier's primes come from one factorization
-    by parts of multiplier / square_adjustment (the c of the search, in the
-    multiplier's square class once the adjustment is a nonzero square); the
-    evidence over the tower is walked afresh, and `_certificate_holds` is
-    decided on them."""
+    """Independent re-derivation of both certificate conclusions over the
+    tower as stated (the engine keeps no cache, so nothing is shared with any
+    search): each generator is factored once, a tower outside
+    `_tower_rule_holds` is refused before any walk, the multiplier's primes
+    come from one factorization by parts of multiplier / square_adjustment
+    (the c of the search), the evidence is walked afresh, and
+    `_certificate_holds` is decided on them."""
     tower, adjustment = cert.tower, cert.square_adjustment
-    if len(tower.generators) > 2 or cert.multiplier == 0 or not _is_rational_square(adjustment):
-        return False  # no walk over such a tower; 0 has no square class; no c
+    if 0 in tower.generators or cert.multiplier == 0 or not _is_rational_square(adjustment):
+        return False  # a zero generator or multiplier has no square class; no c
     gen_primes = [_squarefree_part(d)[1] for d in tower.generators]
+    if not _tower_rule_holds(tower.generators, gen_primes):
+        return False
     c_primes = _squarefree_part(Fraction(cert.multiplier, adjustment))[1]
     return _certificate_holds(phi, cert, hyperbolicity_evidence(phi, tower, gen_primes),
                               gen_primes, c_primes)
@@ -290,19 +295,13 @@ def _certificate_holds(phi: QForm, cert: HypCertificate, evidence, gen_primes,
                        c_primes) -> bool:
     """Every condition of a valid certificate for phi, given phi's evidence
     over its tower, the primes of each generator (`gen_primes`, in order)
-    and the primes of the multiplier (`c_primes`): at most two generators,
-    each a square-free class != 1 (the signed product of its primes) and
-    the two distinct; a square-free multiplier; a nonzero square adjustment; phi
+    and the primes of the multiplier (`c_primes`): the tower within the rule
+    (`_tower_rule_holds`); a square-free multiplier; a nonzero square adjustment; phi
     hyperbolic over the tower (the Kummer bound and every local anisotropic
     dimension 0, `_aniso_dim_from`); and the multiplier a norm from each
     quadratic subextension (Hasse's norm theorem and the intersection law
     N*_L cap N*_L' = Q*^2 * N*_M).  Nothing is factored or walked here."""
-    gens = list(zip(cert.tower.generators, gen_primes, strict=True))
-    if len(gens) > 2:
-        return False
-    if any(d == 1 or not _is_class_of(d, primes) for d, primes in gens):
-        return False
-    if len(gens) == 2 and gens[0][0] == gens[1][0]:
+    if not _tower_rule_holds(cert.tower.generators, gen_primes):
         return False
     c = cert.multiplier
     if not _is_class_of(c, c_primes):
@@ -311,13 +310,7 @@ def _certificate_holds(phi: QForm, cert: HypCertificate, evidence, gen_primes,
         return False
     if _aniso_dim_from(phi, cert.tower, evidence) != 0:
         return False
-    return all(_norm_member(int(c), c_primes, int(d), primes) for d, primes in gens)
-
-
-def _is_class_of(r: Rat, primes) -> bool:
-    """Whether r is the square-free integer with the given distinct primes
-    and r's sign."""
-    return r != 0 and r == (1 if r > 0 else -1) * prod(primes) and len(set(primes)) == len(primes)
+    return all(_norm_member(int(c), c_primes, int(d), p) for d, p in zip(cert.tower.generators, gen_primes))
 
 
 # ----------------------------------------------------------------------

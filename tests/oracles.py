@@ -458,14 +458,14 @@ def eager_candidate_classes(support_primes, bound):
 
 def verify_certificate_by_parts(phi, cert) -> bool:
     """The certificate verifier through the public tests, one condition at a
-    time: the tower's generators and the multiplier square-free by
-    `squarefree_rep`, the two generators independent, the adjustment a
-    nonzero rational square, phi hyperbolic by `is_hyperbolic_over` and the
-    multiplier a norm by `norm_member_tower`."""
+    time: the tower's generators nonzero and, like the multiplier,
+    square-free by `squarefree_rep`, the two generators independent, the
+    adjustment a nonzero rational square, phi hyperbolic by
+    `is_hyperbolic_over` and the multiplier a norm by `norm_member_tower`."""
     gens = cert.tower.generators
     if len(gens) > 2:
         return False
-    if any(d == 1 or squarefree_rep(d) != d for d in gens):
+    if any(d in (0, 1) or squarefree_rep(d) != d for d in gens):
         return False
     if len(gens) == 2 and squarefree_rep(gens[0] * gens[1]) == 1:
         return False

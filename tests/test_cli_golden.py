@@ -149,6 +149,10 @@ PAYLOADS = [
      "--bound", "1"),
     ("thm6", '{"phi":{"diag":[1,-2,6,5,2,7]},"q":[-1,-1],"multipliers":[2,3,21]}',
      "--bound", "1"),
+    # verify-cert on towers stated outside the rule: invalid, not rewritten
+    *(("verify-cert", json.dumps({"form": LEMMA24_FORM,
+                                  "certificate": dict(CERT, tower={"generators": gens})}))
+      for gens in ([-4], [-1, -1], [0], [2, 3, 5])),
 ]
 
 CASES = [list(p) + extra for p in PAYLOADS for extra in ([], ["--trace"])]
@@ -208,7 +212,7 @@ def test_output_is_independent_of_the_hash_seed():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     expected = [r for r in json.loads(GOLDEN.read_text()) if r["argv"][0] in HASH_SEED_VERBS]
-    assert len(expected) == 76
+    assert len(expected) == 84
     assert json.loads(outputs[0]) == expected
 
 

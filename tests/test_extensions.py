@@ -193,12 +193,17 @@ class TestWittIndexOver:
         # square in the tower exactly when a product of its generators is.
         assert aniso_dim_over(qform(entries), make_tower(gens)) == aniso
 
-    @pytest.mark.parametrize("gens", [(12,), (4,), (2, 12), (Fraction(1, 3),)])
+    @pytest.mark.parametrize("gens", [(12,), (4,), (2, 12), (Fraction(1, 3),),
+                                      (-1, -1), (1,), (2, 3, 5)])
     def test_non_canonical_tower_refused(self, gens):
         # Over Q(sqrt 12) = Q(sqrt 3) the plane <1, -3> is hyperbolic, but
-        # only canonical generators make the Kummer bound a membership test.
+        # only canonical generators make the Kummer bound a membership test,
+        # and only distinct ones, at most two, make M's degree the one the
+        # multiplicities are read from.
         with pytest.raises(DomainError):
             aniso_dim_over(qform([1, -3]), ExtensionTower(gens))
+        with pytest.raises(DomainError):
+            hyperbolicity_evidence(qform([1, -3]), ExtensionTower(gens))
 
     def test_kummer_bound_on_planes(self):
         # <1, -d> is hyperbolic over M iff d is a square in M, i.e. iff d

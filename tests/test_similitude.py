@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from oracles import prop_index_check, verify_certificate_by_parts
-from wittcert import arith, similitude
+from wittcert import arith, cli, codecs, similitude
 from wittcert.arith import DomainError, _squarefree_part, is_prime, squarefree_rep
 from wittcert.extensions import (
     TRIVIAL_TOWER,
@@ -413,13 +416,22 @@ class TestVerifier:
         bad = replace(cert, multiplier=bad_mult)
         assert not verify_certificate(phi, bad)
 
-    def test_repeated_generator_rejected(self):
+    @pytest.mark.parametrize("gens", [(-1, -1), (1,), (-4,), (0,), (-1, 2, 3)])
+    def test_repeated_generator_rejected(self, monkeypatch, gens):
+        # A tower outside the rule (a repeated generator, 1, a generator
+        # that is not square-free, 0, three generators) is refused before
+        # any walk over it.
         pi, psi = pfister([-1, -1]), qform([1, 1, 1, 1, 1, -3])
         phi = tensor(pi, psi)
         cert = lemma24_certificate(pi, psi, 2)
-        (d,) = cert.tower.generators
+        assert cert.tower.generators == (-1,)
         assert verify_certificate(phi, cert)
-        assert not verify_certificate(phi, replace(cert, tower=ExtensionTower((d, d))))
+        walks = []
+        walk = similitude.hyperbolicity_evidence
+        monkeypatch.setattr(similitude, "hyperbolicity_evidence",
+                            lambda *args: walks.append(args) or walk(*args))
+        assert not verify_certificate(phi, replace(cert, tower=ExtensionTower(gens)))
+        assert walks == []
 
     def test_malformed_certificates_rejected(self):
         phi = qform([1, -1])
@@ -483,17 +495,35 @@ class TestSelfCheck:
 
 
 def certificate_conditions(phi, cert) -> bool:
-    """`_certificate_holds` on evidence and primes derived from scratch."""
-    gen_primes = [_squarefree_part(d)[1] for d in cert.tower.generators]
+    """`_certificate_holds` on evidence and primes derived from scratch, the
+    generators' primes passed to the walk as the verifier passes them.  A
+    zero generator has no primes, and a tower outside the rule no evidence:
+    the predicate must refuse it without reading any."""
+    gen_primes = [_squarefree_part(d)[1] if d else () for d in cert.tower.generators]
+    try:
+        evidence = hyperbolicity_evidence(phi, cert.tower, gen_primes)
+    except DomainError:
+        evidence = None
     return similitude._certificate_holds(
-        phi, cert, hyperbolicity_evidence(phi, cert.tower), gen_primes,
-        _squarefree_part(cert.multiplier)[1])
+        phi, cert, evidence, gen_primes, _squarefree_part(cert.multiplier)[1])
+
+
+def verify_on_the_cli(phi, cert) -> bool:
+    """The verdict of `wittcert verify-cert` on the certificate as dumped."""
+    payload = {"form": codecs.dump_form(phi), "certificate": codecs.dump_certificate(cert)}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify-cert", json.dumps(payload)])
+    assert code == 0, out.getvalue()
+    return json.loads(out.getvalue())["valid"]
 
 
 nonzero = st.integers(-60, 60).filter(bool)
 tampering = st.one_of(
     st.tuples(st.just("multiplier"), st.one_of(nonzero, st.builds(Fraction, nonzero, nonzero))),
-    st.tuples(st.just("generator"), st.tuples(st.integers(0, 1), nonzero)),
+    st.tuples(st.just("generator"), st.tuples(
+        st.integers(0, 1), st.one_of(nonzero, st.sampled_from([0, 1, -4, -9, 12])))),
+    st.tuples(st.just("repeat"), st.integers(0, 1)),
     st.tuples(st.just("adjustment"), st.one_of(
         st.builds(lambda n, d: Fraction(n * n, d * d), nonzero, nonzero),
         st.builds(Fraction, nonzero, nonzero))),
@@ -506,8 +536,14 @@ def tamper(cert, how):
         return replace(cert, multiplier=value)
     if what == "adjustment":
         return replace(cert, square_adjustment=value)
-    i, g = value
     gens = list(cert.tower.generators)
+    if what == "generator":
+        i, g = value
+    elif not gens:
+        return cert
+    else:  # "repeat": generator i, or a second one, repeats the other
+        i = value if len(gens) == 2 else 1
+        g = gens[1 - i]
     gens[min(i, len(gens)):i + 1] = [g]
     return replace(cert, tower=ExtensionTower(tuple(gens)))
 
@@ -515,7 +551,8 @@ def tamper(cert, how):
 class TestCertificateConditions:
     """`verify_certificate` and the search's check decide the same
     predicate; on searched and tampered certificates it agrees with the
-    verifier taken condition by condition through the public tests."""
+    verifier taken condition by condition through the public tests, and
+    with `verify-cert` on the certificate as dumped."""
 
     @settings(max_examples=150, deadline=None)
     @given(slots, signed(6), multiplier, st.lists(tampering, max_size=2))
@@ -525,6 +562,11 @@ class TestCertificateConditions:
     @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("generator", (0, -12))])
     @example([2, 5], [1, 1, 1, 1, 1, 2], 10, [("multiplier", 12)])
     @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("adjustment", 0)])
+    # Towers stated outside the rule: [-4], [-1, -1], [-9, -1] and [0].
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("generator", (0, -4))])
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("repeat", 0)])
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("generator", (0, -9)), ("generator", (1, -1))])
+    @example([-1, -1], [1, 1, 1, 1, 1, -3], 2, [("generator", (0, 0))])
     def test_agreement(self, ab, entries, c, tamperings):
         pi, psi = pfister([squarefree_rep(a) for a in ab]), qform(entries)
         try:
@@ -539,6 +581,7 @@ class TestCertificateConditions:
         event(f"tampered {len(tamperings)}, valid {want}")
         assert verify_certificate(phi, cert) == want
         assert certificate_conditions(phi, cert) == want
+        assert verify_on_the_cli(phi, cert) == want
 
 
 class TestThm4:

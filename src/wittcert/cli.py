@@ -170,7 +170,7 @@ def _run_verb(verb: str, payload, opts) -> dict:
         q = codecs.parse_quaternion(payload["q"])
         multipliers = payload.get("multipliers")
         if multipliers is not None:
-            multipliers = [codecs.parse_rat(c) for c in multipliers]
+            multipliers = codecs.parse_rats(multipliers, "multipliers")
         rep = thm6_pipeline(phi, q, multipliers, opts.bound, opts.seed)
         out = codecs.dump_report(rep)
         if not rep.hypotheses_passed:

@@ -67,6 +67,19 @@ def parse_rat(obj) -> Fraction:
     raise ParseError(f"not a rational: {obj!r}")
 
 
+def _array(obj, what: str) -> list:
+    """obj, which must be a JSON array: a string is not read as its
+    characters, nor an object as its keys."""
+    if not isinstance(obj, list):
+        raise ParseError(f"{what} must be a JSON array: {obj!r}")
+    return obj
+
+
+def parse_rats(obj, what: str) -> list[Fraction]:
+    """The rationals of the JSON array obj."""
+    return [parse_rat(x) for x in _array(obj, what)]
+
+
 def dump_rat(q) -> int | str:
     q = Fraction(q)
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -87,20 +100,20 @@ def parse_form_text(text: str) -> QForm:
 
 
 def parse_form(obj) -> QForm:
-    """Composable JSON descriptor: diag / pfister / tensor / sum / scale.  A
-    `tensor` or `sum` whose expansion would exceed `MAX_EXPANDED_DIM`
-    dimensions is refused before it is expanded."""
+    """Composable JSON descriptor: diag / pfister / tensor / sum / scale,
+    each holding a JSON array.  A `tensor` or `sum` whose expansion would
+    exceed `MAX_EXPANDED_DIM` dimensions is refused before it is expanded."""
     if isinstance(obj, str):
         return parse_form_text(obj)
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParseError(f"form descriptor must be a single-key object: {obj!r}")
     key, val = next(iter(obj.items()))
     if key == "diag":
-        return qform([parse_rat(x) for x in val])
+        return qform(parse_rats(val, key))
     if key == "pfister":
-        return pfister([parse_rat(x) for x in val])
+        return pfister(parse_rats(val, key))
     if key in ("tensor", "sum"):
-        if not val:
+        if not _array(val, key):
             raise ParseError(f"{key} descriptor needs at least one form")
         parts = [parse_form(x) for x in val]
         dims = [p.dim for p in parts]
@@ -114,7 +127,7 @@ def parse_form(obj) -> QForm:
             out = combine(out, p)
         return out
     if key == "scale":
-        if len(val) != 2:
+        if len(_array(val, key)) != 2:
             raise ParseError(f"scale descriptor must be [c, form]: {val!r}")
         return scale(parse_rat(val[0]), parse_form(val[1]))
     raise ParseError(f"unknown form descriptor key: {key!r}")
@@ -148,7 +161,7 @@ def parse_tower(obj) -> ExtensionTower:
     if isinstance(obj, str):
         return parse_tower_text(obj)
     if isinstance(obj, dict) and set(obj) == {"tower"}:
-        return make_tower([parse_rat(x) for x in obj["tower"]])
+        return make_tower(parse_rats(obj["tower"], "tower"))
     raise ParseError(f"unrecognised tower descriptor: {obj!r}")
 
 
@@ -225,7 +238,7 @@ def parse_certificate(obj) -> HypCertificate:
     if not isinstance(obj, dict) or obj.get("schema") != CERTIFICATE_SCHEMA:
         raise ParseError("certificate payload must carry schema "
                           f"{CERTIFICATE_SCHEMA!r}")
-    gens = [parse_rat(g) for g in obj["tower"]["generators"]]
+    gens = parse_rats(obj["tower"]["generators"], "generators")
     tower = ExtensionTower(tuple(int(g) if g.denominator == 1 else g for g in gens))
     return HypCertificate(
         multiplier=parse_rat(obj["multiplier"]),

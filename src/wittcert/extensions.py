@@ -191,7 +191,16 @@ def norm_member_tower(c: Rat, M: ExtensionTower) -> bool:
     """c in Q*^2 * N*_{M/Q}.  Trivial tower: everything.  Quadratic tower:
     plain norm membership.  Biquadratic tower: membership in both quadratic
     subextension norm groups (the intersection law
-    N*_L cap N*_L' = Q*^2 * N*_M)."""
+    N*_L cap N*_L' = Q*^2 * N*_M).  Each generator is factored once, as the
+    test reaches it, and c once, after the first generator."""
     if Fraction(c) == 0:
         raise DomainError("norm membership of 0")
-    return all(norm_member(c, g) for g in M.generators)
+    c_part = None
+    for g in M.generators:
+        d, d_primes = _squarefree_part(g)
+        if d == 1:
+            raise DomainError("trivial extension: norm group is all of Q*")
+        c_part = c_part or _squarefree_part(c)
+        if not _norm_member(*c_part, d, d_primes):
+            return False
+    return True

@@ -6,29 +6,30 @@ representatives; there is no element-level p-adic arithmetic, and elements
 are global rationals interpreted locally.
 
 A class of Q_p*/Q_p*^2 is a number: 2 v + chi for p odd (chi = 1 iff the
-unit part is a non-residue) and 4 v + (u mod 8) // 2 for p = 2, so that the
+unit part is a non-residue) and 4 v + (u mod 8) // 2 for p = 2, and a class
+of R*/R*^2 (p is None) is 0 if positive and 1 if negative, so that the
 product of two classes is the XOR of their numbers.  `_class_index` is the
 one map to these numbers; a rational n/d has the class of the integer n d.
-A finite completion holds its Kummer group (the classes that the adjoined
-square roots make squares) as a set of numbers, and a table from each
-number to the canonical representative of its coset, both built when the
-`LocalField` is constructed; the square class of a rational in it is one
-lookup.  Hilbert symbols of rationals are closed forms: +1 over every
-even-degree completion (norm compatibility), the sign rule over R, and over
-Q_p one lookup on the numbers of the two arguments in a table of the tame
-formula (p odd) or of Serre's formula (p = 2).
+Every completion, R and C included, holds its Kummer group (the classes
+that the adjoined square roots make squares) as a set of numbers, and a
+table from each number to the canonical representative of its coset, both
+built when the `LocalField` is constructed; the square class of a rational
+in it is one lookup.  Hilbert symbols of rationals are closed forms: +1
+over every even-degree completion (norm compatibility), and over Q_v one
+lookup on the numbers of the two arguments in a table of the tame formula
+(p odd), of Serre's formula (p = 2) or of the signs (R).
 
-The local invariants of a diagonal form over a finite completion depend
-only on how many of its entries lie in each class of Q_p*/Q_p*^2 (4 classes
-for p odd, 8 for p = 2): its histogram, an element of the group ring
-Z[Q_p*/Q_p*^2].  Each distinct entry is mapped once to its class, and
-equal entries only add to its count; the discriminant and the Hasse
-invariant then come from the at most 8 class counts by the multiplicity
-law and a table of the closed-form symbols, without calling
-`hilbert_symbol`.  These numbers, histograms and symbol tables are private
-to this module: other modules read local data only through `form_class_at`,
-`local_aniso_dim`, `_split_planes` and the symbols.  No local answer is
-memoised.
+The local invariants of a diagonal form over a completion depend only on
+how many of its entries lie in each class of Q_v*/Q_v*^2 (4 classes for p
+odd, 8 for p = 2, 2 over R): its histogram, an element of the group ring
+Z[Q_v*/Q_v*^2].  Each distinct entry is mapped once to its class (over R
+the signs are counted), and equal entries only add to its count; the
+discriminant and the Hasse invariant then come from the at most 8 class
+counts by the multiplicity law and a table of the closed-form symbols,
+without calling `hilbert_symbol`.  These numbers, histograms and symbol
+tables are private to this module: other modules read local data only
+through `form_class_at`, `local_aniso_dim`, `_split_planes` and the
+symbols.  No local answer is memoised.
 
 `completions` walks the completions of a tower above the real place, 2 and
 the primes of a support in a fixed order, yielding each `LocalField` once;
@@ -74,14 +75,16 @@ class LocalField:
     """The completion of Q(sqrt g : g in gens) at a place above `base`.
 
     The constructor takes only the base and nonzero rational generators, and
-    derives the rest once.  For a finite base: `kummer`, the class numbers of
-    the generators' subgroup of Q_p*/Q_p*^2 (order at most 4); f = 2 iff it
-    holds the unramified non-square class, and e = |kummer| / f; `gens`
-    becomes the least one or two nontrivial canonical representatives of
-    `kummer`, in increasing order; `reps[i]` is the canonical representative
-    in the field of base class i, the least-numbered member of its coset.
-    Over R a negative generator gives C, gens (-1,), and otherwise R,
-    gens (); e = f = 1, and `kummer` and `reps` are empty.
+    derives the rest once, in the same way at every place: `kummer`, the
+    class numbers of the generators' subgroup of Q_v*/Q_v*^2 (order at most
+    4), whose order is the degree; `gens`, the least one or two nontrivial
+    canonical representatives of `kummer`, in increasing order; `reps[i]`,
+    the canonical representative in the field of base class i, the
+    least-numbered member of its coset.  At a prime, f = 2 iff `kummer`
+    holds the unramified non-square class, and e = |kummer| / f.  Over R a
+    negative generator gives C: `kummer` is {0, 1}, gens (-1,) and `reps`
+    (1, 1); otherwise R: `kummer` is {0}, gens () and `reps` (1, -1).  Both
+    keep e = f = 1.
     """
 
     base: Place
@@ -96,29 +99,25 @@ class LocalField:
         if 0 in gens:
             raise DomainError(f"completion generators must be nonzero: {gens}")
         p = self.base.p
+        group = _kummer_group(gens, p)
+        reps = _base_reps(p)
         e = f = 1
-        group, reps = frozenset(), ()
-        if p is None:
-            if gens:
-                gens = (-1,) if min(gens) < 0 else ()
-        else:
-            group = _kummer_group(gens, p)
-            reps = _base_reps(p)
-            gens = ()
-            if len(group) > 1:
-                if len(group) > 4:
-                    raise DomainError(f"generators {self.gens} give a completion of "
-                                      f"degree {len(group)} over Q{p}, above 4")
+        gens = ()
+        if len(group) > 1:
+            if len(group) > 4:
+                raise DomainError(f"generators {self.gens} give a completion of "
+                                  f"degree {len(group)} over Q{p}, above 4")
+            if p:  # C keeps e = f = 1: the real place has no residue field
                 f = 2 if (2 if p == 2 else 1) in group else 1  # the unramified non-square
                 e = len(group) // f
-                gens = tuple(sorted(reps[i] for i in group if i)[:len(group).bit_length() - 1])
-                table = [0] * len(reps)
-                # In ascending order, the first number met of a coset is its least.
-                for i, rep in enumerate(reps):
-                    if not table[i]:
-                        for h in group:
-                            table[i ^ h] = rep
-                reps = tuple(table)
+            gens = tuple(sorted(reps[i] for i in group if i)[:len(group).bit_length() - 1])
+            table = [0] * len(reps)
+            # In ascending order, the first number met of a coset is its least.
+            for i, rep in enumerate(reps):
+                if not table[i]:
+                    for h in group:
+                        table[i ^ h] = rep
+            reps = tuple(table)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "f", f)
@@ -135,9 +134,7 @@ class LocalField:
 
     @property
     def degree(self) -> int:
-        if self.base.is_real:
-            return 2 if self.gens else 1
-        return self.e * self.f
+        return len(self.kummer)
 
     def __str__(self) -> str:
         if self.is_real:
@@ -171,8 +168,10 @@ class LocalFormClass:
 # 0, 1, 2, 3 and the group is (Z/2)^3.  -1 is number eps = (p - 1)/2 mod 2
 # for p odd and 3 for p = 2; the unramified non-square class is number 1 for
 # p odd and 2 (the class of 5) for p = 2.  The canonical representative of a
-# number is the least positive integer of its class.  Rationals become
-# integers (n/d has the class of n d) only at the public entry points.
+# number is the least positive integer of its class.  R*/R*^2 = {+1, -1}
+# (p is None) is numbered the same way: 0 positive, 1 negative, so -1 is
+# number 1, with representatives 1 and -1.  Rationals become integers (n/d
+# has the class of n d) only at the public entry points.
 
 # Canonical representatives of Q_2*/Q_2*^2, indexed by class number.
 DYADIC_CLASSES = (1, 3, 5, 7, 2, 6, 10, 14)
@@ -184,14 +183,17 @@ def _integral(a: Rat) -> int:
 
 
 def _class_index(a: int, p: int) -> int:
-    """The number of the class of the nonzero integer a in Q_p*/Q_p*^2.  An
-    integer prime to p is a unit: one Euler criterion for p odd, a residue
-    mod 8 for p = 2.  Any other integer goes through the valuation."""
+    """The number of the class of the nonzero integer a in Q_p*/Q_p*^2, or
+    of its sign in R*/R*^2 when p is None.  An integer prime to p is a unit:
+    one Euler criterion for p odd, a residue mod 8 for p = 2.  Any other
+    integer goes through the valuation."""
     if p == 2:
         if a & 1:
             return a % 8 >> 1
         v, u = _valuation_unit(2, a)
         return (v & 1) << 2 | u % 8 >> 1
+    if p is None:
+        return 0 if a > 0 else 1
     if a % p:
         return 0 if pow(a, (p - 1) >> 1, p) == 1 else 1
     v, u = _valuation_unit(p, a)
@@ -199,8 +201,8 @@ def _class_index(a: int, p: int) -> int:
 
 
 def _kummer_group(gens, p: int) -> frozenset[int]:
-    """The numbers of the subgroup of Q_p*/Q_p*^2 generated by the classes
-    of the nonzero rationals `gens`."""
+    """The numbers of the subgroup of Q_p*/Q_p*^2 (R*/R*^2 when p is None)
+    generated by the classes of the nonzero rationals `gens`."""
     group = {0}
     for g in gens:
         i = _class_index(_integral(g), p)
@@ -210,10 +212,12 @@ def _kummer_group(gens, p: int) -> frozenset[int]:
 
 def _base_reps(p: int) -> tuple[int, ...]:
     """The canonical representative of each class number of Q_p*/Q_p*^2:
-    `DYADIC_CLASSES` for p = 2, and 1, n, p, p n for p odd, with n the least
-    quadratic non-residue mod p."""
+    `DYADIC_CLASSES` for p = 2, 1, n, p, p n for p odd, with n the least
+    quadratic non-residue mod p, and 1, -1 over R (p is None)."""
     if p == 2:
         return DYADIC_CLASSES
+    if p is None:
+        return 1, -1
     n = 2
     while pow(n, (p - 1) >> 1, p) == 1:
         n += 1
@@ -223,17 +227,13 @@ def _base_reps(p: int) -> tuple[int, ...]:
 def local_square_class(a: Rat, E: LocalField) -> int:
     """Canonical representative of the square class of a in E (1 = trivial).
 
-    Inputs are global rationals; for extensions, the class is the base class
-    reduced modulo the subgroup generated by the adjoined square roots
-    (Kummer: an element of Q_p is a square in a multiquadratic extension iff
-    its class lies in that subgroup), one lookup in `E.reps`.
+    Inputs are global rationals.  The class is the base class reduced
+    modulo the subgroup generated by the adjoined square roots (Kummer: an
+    element of Q_v is a square in a multiquadratic extension iff its class
+    lies in that subgroup), one lookup in `E.reps`: the sign over R, 1 over C.
     """
     if a == 0:
         raise DomainError("square class of 0")
-    if E.is_complex:
-        return 1
-    if E.is_real:
-        return 1 if a > 0 else -1
     return E.reps[_class_index(_integral(a), E.base.p)]
 
 
@@ -257,9 +257,11 @@ def completions(support, gens=()) -> Iterator[LocalField]:
 # ----------------------------------------------------------------------
 # Hilbert symbols.
 #
-# Over Q_p a symbol is (-1)^t, with t read from a table indexed by the
+# Over Q_v a symbol is (-1)^t, with t read from a table indexed by the
 # class numbers of its arguments: the tame formula for p odd (one table per
-# eps), Serre's formula for p = 2 (Serre, A Course in Arithmetic, III.1.2).
+# eps), Serre's formula for p = 2 (Serre, A Course in Arithmetic, III.1.2),
+# and over R the 2 x 2 table on the signs, -1 only for two negative
+# arguments (Serre, III.1.1).
 # `hilbert_symbol` and `form_class_at` both read these tables.
 
 
@@ -288,17 +290,20 @@ _SERRE_TABLE = tuple(
 
 
 def _symbol_table(p: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The exponent table of (i, j)_p on class numbers, and the number of -1."""
+    """The exponent table of (i, j)_p on class numbers, and the number of
+    -1; p is None for R."""
     if p == 2:
         return _SERRE_TABLE, 3
+    if p is None:
+        return ((0, 0), (0, 1)), 1
     eps = (p - 1) >> 1 & 1
     return _TAME_TABLES[eps], eps
 
 
 def _qp_symbol(a: int, b: int, p: int) -> int:
-    """(a, b)_p over Q_p for nonzero integers a, b and a prime p: one table
-    lookup on their class numbers.  p is taken as prime (it comes from a
-    factorization or a `Place`) and is not re-tested."""
+    """(a, b)_p over Q_p for nonzero integers a, b and a prime p, or over R
+    when p is None: one table lookup on their class numbers.  p is taken as
+    prime (it comes from a factorization or a `Place`) and is not re-tested."""
     return -1 if _symbol_table(p)[0][_class_index(a, p)][_class_index(b, p)] else 1
 
 
@@ -308,15 +313,13 @@ def hilbert_symbol(a: Rat, b: Rat, E: LocalField) -> int:
 
     For rational a, b and a completion E of degree n over Q_v, norm
     compatibility gives (a, b)_E = (a, N b)_{Q_v} = (a, b)_{Q_v}^n, so every
-    even-degree completion gives +1.  Over Q_v: the sign rule at the real
-    place, `_qp_symbol` at a prime.
+    even-degree completion, C included, gives +1.  Over Q_v, R included:
+    `_qp_symbol` of the base place.
     """
     if a == 0 or b == 0:
         raise DomainError("hilbert symbol of 0")
     if E.degree % 2 == 0:
         return 1
-    if E.is_real:
-        return -1 if a < 0 and b < 0 else 1
     return _qp_symbol(_integral(a), _integral(b), E.base.p)
 
 
@@ -327,13 +330,17 @@ def _symbol_split_at(a: int, b: int, primes) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Class histograms: forms over Q_p as elements of Z[Q_p*/Q_p*^2].
+# Class histograms: forms over Q_v as elements of Z[Q_v*/Q_v*^2].
 
 
 def _class_histogram(entries, p: int) -> list[int]:
     """How many of the entries lie in each class of Q_p*/Q_p*^2, indexed by
     class number.  Each distinct entry is mapped once to its class; a
-    repeated entry only adds to its count."""
+    repeated entry only adds to its count.  Over R (p is None) the two
+    signs are counted."""
+    if p is None:
+        negs = sum(1 for a in entries if a < 0)
+        return [len(entries) - negs, negs]
     hist = [0] * (8 if p == 2 else 4)
     seen: dict[int, int] = {}
     for a in entries:
@@ -345,8 +352,8 @@ def _class_histogram(entries, p: int) -> list[int]:
 
 
 def _histogram_class(hist: list[int], E: LocalField) -> LocalFormClass:
-    """Local invariants over E (a finite completion) of a form whose entries
-    have the class histogram `hist` in the base field Q_p.
+    """Local invariants over E of a form whose entries have the class
+    histogram `hist` in the base field Q_v, with the signature over R.
 
     The Hasse invariant prod_{i<j} (a_i, a_j) is accumulated class by class:
     m entries of class a, appended to a prefix of product P, contribute
@@ -366,7 +373,7 @@ def _histogram_class(hist: list[int], E: LocalField) -> LocalFormClass:
                 prefix ^= i
     if n * (n - 1) >> 1 & 1:
         prefix ^= minus_one
-    return LocalFormClass(n, E.reps[prefix], -1 if t else 1, None)
+    return LocalFormClass(n, E.reps[prefix], -1 if t else 1, hist[0] - hist[1] if E.is_real else None)
 
 
 # ----------------------------------------------------------------------
@@ -377,19 +384,10 @@ def form_class_at(entries: tuple[int, ...], E: LocalField) -> LocalFormClass:
     """Local invariants of the diagonal form with the given nonzero integer
     entries over E.
 
-    Over R and C they are read off the signs.  At a finite place they come
-    from the entries' class histogram in Q_p*/Q_p*^2 (`_histogram_class`):
-    one class per distinct entry, then at most 8 class counts, with no
+    At every place, R and C included, they come from the entries' class
+    histogram in Q_v*/Q_v*^2 (`_histogram_class`): one class per distinct
+    entry (over R the signs), then at most 8 class counts, with no
     Hilbert-symbol call, no per-entry prefix and no factoring."""
-    n = len(entries)
-    if E.is_real:
-        sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        negs = sum(1 for a in entries if a < 0)
-        sig = n - 2 * negs
-        h = -1 if (negs * (negs - 1) // 2) % 2 else 1
-        return LocalFormClass(n, -sign if negs % 2 else sign, h, sig)
-    if E.is_complex:
-        return LocalFormClass(n, 1, 1, None)
     return _histogram_class(_class_histogram(entries, E.base.p), E)
 
 
@@ -413,8 +411,10 @@ def _split_planes(s: int, d: Rat, n: int, m: int, E: LocalField) -> int:
 
 def local_aniso_dim(c: LocalFormClass, E: LocalField) -> int:
     """Dimension of the anisotropic kernel of any form with these invariants
-    over E, by the standard p-adic classification.  At a finite place a
-    form of dimension n >= 3 is read through its remainder of dimension 3
+    over E: |signature| over R, and otherwise the standard p-adic
+    classification, which gives n mod 2 over C, where every square class and
+    every symbol is trivial.
+    A form of dimension n >= 3 is read through its remainder of dimension 3
     (n odd) or 4 (n even) after hyperbolic planes are split off, with Hasse
     invariant s' from `_split_planes`: the remainder of dimension 3 is
     anisotropic iff s' = -(d, -1)_E, that of dimension 4 iff d is trivial
@@ -423,8 +423,6 @@ def local_aniso_dim(c: LocalFormClass, E: LocalField) -> int:
     evaluated."""
     if c.dim < 0 or c.hasse not in (1, -1):
         raise DomainError(f"invalid local form class {c}")
-    if E.is_complex:
-        return c.dim % 2
     if E.is_real:
         if c.signature is None or abs(c.signature) > c.dim or (c.signature - c.dim) % 2:
             raise DomainError(f"invalid signature data {c}")

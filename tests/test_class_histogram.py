@@ -2,7 +2,8 @@
 completion counts how many entries lie in each class of Q_p*/Q_p*^2 and
 reads the discriminant and the Hasse invariant off those counts.
 
-The invariants depend on each count only modulo 4 (the multiplicity law
+Over R and C, whose square classes are the two signs, every sign pattern
+up to dimension 8 is checked.  The invariants depend on each count only modulo 4 (the multiplicity law
 involves m mod 2 and m(m-1)/2 mod 2), so every count vector in {0..3}^k
 covers the kernel on a field with k base classes; it is compared there with
 the symbol-by-symbol computation in `oracles`.  Properties: the product
@@ -24,6 +25,7 @@ from wittcert.localfields import (
     Place,
     _class_histogram,
     form_class_at,
+    local_aniso_dim,
 )
 
 
@@ -66,6 +68,21 @@ class TestEveryCountVector:
         # Every discriminant class occurs, with both Hasse invariants over Q_p.
         classes = len(reps) if E.degree == 1 else len(reps) // 2
         assert len(seen) == classes * (2 if E.degree % 2 else 1)
+
+    @pytest.mark.parametrize("E", [LocalField(REAL), LocalField(REAL, [-1])], ids=str)
+    def test_every_sign_pattern(self, E):
+        """R*/R*^2 has two classes, so every sign pattern of dimension 0 to
+        8 is checked: the kernel against the sign formulas of the oracle,
+        and the anisotropic dimension, |signature| over R and n mod 2 over C."""
+        rng = random.Random(E.degree)
+        for n in range(9):
+            for signs in product((1, -1), repeat=n):
+                entries = tuple(s * rng.choice((1, 2, 3, 5, 12, 1000003)) for s in signs)
+                negs = signs.count(-1)
+                assert _class_histogram(entries, E.base.p) == [n - negs, negs]
+                cls = form_class_at(entries, E)
+                assert cls == form_class_by_symbols(entries, E), (str(E), entries)
+                assert local_aniso_dim(cls, E) == (abs(n - 2 * negs) if E.is_real else n % 2)
 
 
 nonzero = st.integers(-10**6, 10**6).filter(bool)

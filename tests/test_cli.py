@@ -203,6 +203,35 @@ class TestCliContract:
         code, out = run_json(capsys, "invariants", payload)
         assert code == 1 and out["error"] == "malformed-input"
 
+    @pytest.mark.parametrize("verb, payload", [
+        ("invariants", '{"diag":"123"}'),
+        ("invariants", '{"pfister":"23"}'),
+        ("invariants", '{"tensor":{"<1,1>":0,"<1,-1>":0}}'),
+        ("invariants", '{"sum":"<1,1>"}'),
+        ("invariants", '{"scale":"2<"}'),
+        ("invariants", '{"scale":{"2":0,"<1>":0}}'),
+        ("witt", '{"form":{"diag":[1,1]},"tower":{"tower":{"-1":5}}}'),
+        ("witt", '{"form":{"diag":[1,1]},"tower":{"tower":"-1"}}'),
+        ("norm-member", '{"c":7,"tower":"23"}'),
+        ("norm-member", '{"c":7,"tower":{"2":0}}'),
+        ("thm6", '{"phi":{"diag":[1,1,1,1,1,2]},"q":[2,5],"multipliers":"23"}'),
+        ("thm6", '{"phi":{"diag":[1,1,1,1,1,2]},"q":[2,5],"multipliers":{"2":0}}'),
+        ("verify-cert", json.dumps({
+            "form": {"tensor": [{"pfister": [-1, -1]}, {"diag": [1, 1, 1, 1, 1, -3]}]},
+            "certificate": {"schema": "hyp-certificate/1", "multiplier": 2,
+                            "tower": {"generators": {"-1": 0}}, "square_adjustment": 1}})),
+        ("verify-cert", json.dumps({
+            "form": {"tensor": [{"pfister": [-1, -1]}, {"diag": [1, 1, 1, 1, 1, -3]}]},
+            "certificate": {"schema": "hyp-certificate/1", "multiplier": 2,
+                            "tower": {"generators": "-1"}, "square_adjustment": 1}})),
+    ])
+    def test_strings_and_objects_are_not_arrays(self, capsys, verb, payload):
+        # A JSON string is not read as its characters, nor an object as its
+        # keys; the bare text syntaxes stay.
+        code, out = run_json(capsys, verb, payload)
+        assert code == 1 and out["error"] == "malformed-input"
+        assert "must be a JSON array" in out["detail"]
+
     def test_expanded_dimension_limit_exit_3(self, capsys):
         four_fold = [{"pfister": [2, 3, 5, 7]}, {"pfister": [-1, 11, 13, 17]},
                      {"pfister": [19, 23, 29, 31]}, {"pfister": [37, 41, 43, 47]}]

@@ -153,6 +153,16 @@ PAYLOADS = [
     *(("verify-cert", json.dumps({"form": LEMMA24_FORM,
                                   "certificate": dict(CERT, tower={"generators": gens})}))
       for gens in ([-4], [-1, -1], [0], [2, 3, 5])),
+    # JSON strings and objects where an array is due: malformed, never read
+    # as characters or keys
+    ("invariants", '{"diag":"123"}'),
+    ("invariants", '{"pfister":"23"}'),
+    ("invariants", '{"tensor":{"<1,1>":0,"<1,-1>":0}}'),
+    ("witt", '{"form":{"diag":[1,1]},"tower":{"tower":{"-1":5}}}'),
+    ("norm-member", '{"c":7,"tower":"23"}'),
+    ("thm6", '{"phi":{"diag":[1,1,1,1,1,2]},"q":[2,5],"multipliers":"23"}'),
+    ("verify-cert", json.dumps({"form": LEMMA24_FORM,
+                                "certificate": dict(CERT, tower={"generators": {"-1": 0}})})),
 ]
 
 CASES = [list(p) + extra for p in PAYLOADS for extra in ([], ["--trace"])]
@@ -212,7 +222,7 @@ def test_output_is_independent_of_the_hash_seed():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     expected = [r for r in json.loads(GOLDEN.read_text()) if r["argv"][0] in HASH_SEED_VERBS]
-    assert len(expected) == 84
+    assert len(expected) == 96
     assert json.loads(outputs[0]) == expected
 
 

@@ -179,7 +179,8 @@ class TestDerivation:
         assert LocalField(Place(5), (2, 2)).degree == 2
         assert LocalField(Place(2), (7,)) == LocalField(Place(2), (-1,))
 
-    def test_one_derivation_per_finite_field(self, monkeypatch):
+    def test_one_derivation_per_completion(self, monkeypatch):
+        # The real place (p is None) is derived like every Q_p.
         calls = {"_kummer_group": [], "_base_reps": []}
         for name, log in calls.items():
             spy(monkeypatch, getattr(localfields, name), log)
@@ -188,12 +189,13 @@ class TestDerivation:
             for log in calls.values():
                 log.clear()
             walk = list(completions(phi.support | prime_support(M.generators), M.generators))
-            finite = [p for _, p in calls["_kummer_group"]]
-            assert finite == [E.base.p for E in walk if not E.base.is_real]
-            assert [args[0] for args in calls["_base_reps"]] == finite
+            places = [p for _, p in calls["_kummer_group"]]
+            assert places == [E.base.p for E in walk]
+            assert places[0] is None
+            assert [args[0] for args in calls["_base_reps"]] == places
         calls["_kummer_group"].clear()
         LocalField(REAL, (-1,))
-        assert calls["_kummer_group"] == []
+        assert calls["_kummer_group"] == [((-1,), None)]
 
 
 def spy(monkeypatch, fn, calls):

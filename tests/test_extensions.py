@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 from oracles import check_quadratic_witness, norm_witness, quadratic_field_witness
+from wittcert import arith
 from wittcert.arith import DomainError, squarefree_rep
 from wittcert.extensions import (
     TRIVIAL_TOWER,
@@ -347,6 +348,29 @@ class TestNormGroups:
             c = rng.randint(-30, 30) or 1
             d1, d2 = M.generators
             assert norm_member_tower(c, M) == (norm_member(c, d1) and norm_member(c, d2))
+
+    def test_tower_membership_factors_each_number_once(self, monkeypatch):
+        M = make_tower([2, 3])
+        calls = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+        assert norm_member_tower(73, M)
+        assert sorted(calls) == [2, 3, 73]
+        # The trivial tower holds every c, which is never factored.
+        calls.clear()
+        assert norm_member_tower(2 ** 127 - 1, TRIVIAL_TOWER)
+        assert calls == []
+
+    def test_tower_membership_refusals(self):
+        with pytest.raises(DomainError):
+            norm_member_tower(0, make_tower([2]))
+        with pytest.raises(DomainError):
+            norm_member_tower(Fraction(0), TRIVIAL_TOWER)
+        # A hand-built tower with a trivial generator, met first or after a
+        # generator that c passes.
+        for gens in [(1,), (4,), (2, 1)]:
+            with pytest.raises(DomainError):
+                norm_member_tower(7, ExtensionTower(gens))
 
 
 def test_scaling_invariance_of_hyperbolicity_over():

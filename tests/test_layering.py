@@ -50,6 +50,21 @@ def test_class_encoding_stays_in_localfields(path):
     assert not names_used(tree) & ENCODING, path.name
 
 
+def test_real_place_takes_the_path_of_every_prime():
+    """R and C are completions like every Q_p: the symbols, square classes,
+    form classes and degrees are read off the class-number tables, with no
+    branch that names the real place."""
+    tree = ast.parse((PACKAGE / "localfields.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    local_field = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "LocalField")
+    degree = next(node for node in local_field.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "degree")
+    for node in [functions["hilbert_symbol"], functions["local_square_class"],
+                 functions["form_class_at"], degree]:
+        assert not names_used(node) & {"is_real", "is_complex", "REAL"}, node.name
+
+
 def test_localfields_defines_the_encoding():
     tree = ast.parse((PACKAGE / "localfields.py").read_text())
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}

@@ -50,7 +50,7 @@ from wittcert.localfields import (
 )
 from wittcert.similitude import thm4_decompose
 
-FIELDS = [LocalField(REAL)] + [LocalField(Place(p)) for p in (2, 3, 5, 7, 11, 13)]
+FIELDS = [LocalField(REAL), LocalField(REAL, [-1])] + [LocalField(Place(p)) for p in (2, 3, 5, 7, 11, 13)]
 
 nonzero = st.integers(-10**6, 10**6).filter(bool)
 squarefree = nonzero.map(squarefree_rep)
@@ -168,6 +168,23 @@ class TestClassSymbols:
                 # Another representative of each class: times p^2 and 4.
                 assert _class_index(a * p * p, p) == class_number(a * p * p, p) == i
                 assert _class_index(4 * b, p) == class_number(4 * b, p) == j
+
+
+    @pytest.mark.parametrize("E", [LocalField(REAL), LocalField(REAL, [-1])], ids=str)
+    def test_sign_rule_on_all_real_class_pairs(self, E):
+        # R*/R*^2 is numbered like Q_p*/Q_p*^2: 0 positive, 1 negative.
+        assert E.reps == ((1, -1) if E.is_real else (1, 1))
+        for i, a in enumerate((1, -1)):
+            for j, b in enumerate((1, -1)):
+                expected = hilbert_symbol_closed_form(a, b, E)
+                assert expected == (-1 if E.is_real and a < 0 and b < 0 else 1)
+                # Another representative of each class: times 2 and 1/3.
+                assert hilbert_symbol(a, b, E) == hilbert_symbol(2 * a, Fraction(b, 3), E) == expected
+                assert _class_index(a, None) == _class_index(-3 * a, None) ^ 1 == i
+                if E.is_real:
+                    assert _qp_symbol(a, b, None) == expected
+        for a in (1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3)):
+            assert local_square_class(a, E) == (1 if a > 0 or not E.is_real else -1)
 
 
 class TestClassProduct:
